@@ -25,6 +25,8 @@ is the identity up to normalization.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -79,13 +81,18 @@ class TokenKind(Enum):
     EOF = "end of input"
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: TokenKind
-    text: str
-    line: int
-    column: int
-    value: object = None  # decoded string or int payload
+    """One token. ``offset`` indexes the normalized text; line and column
+    are derived from it only when a location is needed."""
+
+    __slots__ = ("kind", "text", "offset", "value")
+
+    def __init__(self, kind: TokenKind, text: str, offset: int,
+                 value: object = None) -> None:
+        self.kind = kind
+        self.text = text
+        self.offset = offset
+        self.value = value  # decoded string or int payload
 
     def describe(self) -> str:
         if self.kind is TokenKind.EOF:
@@ -110,94 +117,55 @@ _PUNCT = {
     ",": TokenKind.COMMA,
 }
 
-_RELATION_RE = re.compile(r"(?:1|n):(?:1|m)(?![A-Za-z0-9:_-])")
-_KEYWORD_RE = re.compile(r"[A-Za-z][A-Za-z0-9-]*")
-_INT_RE = re.compile(r"[0-9]+")
+# One match per token: skip blanks, newlines and comments, then take the
+# first alternative that matches. A backslash escapes only `"` and `\`;
+# before any other character it is literal. Something always matches
+# after the skip (EOF or BAD), so the skip is never backtracked into.
+_SCAN = re.compile(r"""
+    [ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*
+    (?:
+        (?P<RELATION>[1n]:[1m](?![A-Za-z0-9:_-]))
+      | (?P<PUNCT>[{}\[\]():,])
+      | (?P<STRING>"[^"\\\n]*(?:\\(?:["\\]|(?!["\\]))[^"\\\n]*)*")
+      | (?P<INT>[0-9]+)
+      | (?P<KEYWORD>[A-Za-z][A-Za-z0-9-]*)
+      | (?P<EOF>\Z)
+      | (?P<BAD>.)
+    )""", re.VERBOSE | re.DOTALL)
+_ESCAPE = re.compile(r'\\(["\\])')
+_NEWLINE = re.compile("\n")
 
 
-def _lex(text: str, file_name: str) -> list[Token]:
-    text = text.removeprefix("﻿").replace("\r\n", "\n")
+def _lex(text: str, locate: Callable[[int], SourceLocation]) -> list[Token]:
+    """Tokens of normalized ``text``, ending in EOF; ``locate`` maps an
+    offset to the SourceLocation of a lexical error."""
     tokens: list[Token] = []
-    pos = 0
-    line = 1
-    col = 1
-    n = len(text)
-
-    def fail(code: str, message: str, at_line: int, at_col: int) -> None:
-        raise _Fail(
-            Diagnostic(code, message, SourceLocation(file_name, at_line, at_col))
-        )
-
-    while pos < n:
-        ch = text[pos]
-        if ch == "\n":
-            pos += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            pos += 1
-            col += 1
-            continue
-        if ch == "#":
-            while pos < n and text[pos] != "\n":
-                pos += 1
-                col += 1
-            continue
-        start_line, start_col = line, col
-        m = _RELATION_RE.match(text, pos)
-        if m:
-            tokens.append(Token(TokenKind.RELATION, m.group(), start_line, start_col))
-            pos = m.end()
-            col += 3
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token(_PUNCT[ch], ch, start_line, start_col))
-            pos += 1
-            col += 1
-            continue
-        if ch == '"':
-            buf: list[str] = []
-            pos += 1
-            col += 1
-            while True:
-                if pos >= n or text[pos] == "\n":
-                    fail("E002", "unterminated string", start_line, start_col)
-                c = text[pos]
-                if c == '"':
-                    pos += 1
-                    col += 1
-                    break
-                if c == "\\" and pos + 1 < n and text[pos + 1] in '"\\':
-                    buf.append(text[pos + 1])
-                    pos += 2
-                    col += 2
-                    continue
-                buf.append(c)
-                pos += 1
-                col += 1
-            tokens.append(
-                Token(TokenKind.STRING, "".join(buf), start_line, start_col,
-                      value="".join(buf))
-            )
-            continue
-        m = _INT_RE.match(text, pos)
-        if m:
-            tokens.append(
-                Token(TokenKind.INT, m.group(), start_line, start_col,
-                      value=int(m.group()))
-            )
-            pos = m.end()
-            col += len(m.group())
-            continue
-        m = _KEYWORD_RE.match(text, pos)
-        if m:
-            tokens.append(Token(TokenKind.KEYWORD, m.group(), start_line, start_col))
-            pos = m.end()
-            col += len(m.group())
-            continue
-        fail("E001", f"unexpected character {ch!r}", start_line, start_col)
-    tokens.append(Token(TokenKind.EOF, "", line, col))
+    append = tokens.append
+    for m in _SCAN.finditer(text):
+        group = m.lastgroup
+        offset = m.start(group)
+        word = m[group]
+        if group == "KEYWORD":
+            append(Token(TokenKind.KEYWORD, word, offset))
+        elif group == "PUNCT":
+            append(Token(_PUNCT[word], word, offset))
+        elif group == "STRING":
+            value = word[1:-1]
+            if "\\" in value:
+                value = _ESCAPE.sub(r"\1", value)
+            append(Token(TokenKind.STRING, value, offset, value))
+        elif group == "INT":
+            append(Token(TokenKind.INT, word, offset, int(word)))
+        elif group == "RELATION":
+            append(Token(TokenKind.RELATION, word, offset))
+        elif group == "EOF":
+            append(Token(TokenKind.EOF, "", offset))
+            break  # finditer would match the empty end once more
+        elif word == '"':
+            raise _Fail(Diagnostic("E002", "unterminated string", locate(offset)))
+        else:
+            raise _Fail(Diagnostic("E001", f"unexpected character {word!r}",
+                                   locate(offset)))
     return tokens
 
 
@@ -240,24 +208,30 @@ _WARDEN_KEYS = {"placement", "state", "activity"}
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], file_name: str) -> None:
-        self.tokens = tokens
-        self.pos = 0
+    def __init__(self, text: str, file_name: str) -> None:
+        self.text = text.removeprefix("\ufeff").replace("\r\n", "\n")
         self.file = file_name
-
-    @property
-    def cur(self) -> Token:
-        return self.tokens[self.pos]
+        self._line_starts: list[int] | None = None
+        self.tokens = _lex(self.text, self.locate)
+        self.pos = 0
+        self.cur = self.tokens[0]
 
     def advance(self) -> Token:
         tok = self.cur
         if tok.kind is not TokenKind.EOF:
             self.pos += 1
+            self.cur = self.tokens[self.pos]
         return tok
 
+    def locate(self, offset: int) -> SourceLocation:
+        """Line and column of an offset into the normalized text."""
+        if self._line_starts is None:
+            self._line_starts = [0] + [m.end() for m in _NEWLINE.finditer(self.text)]
+        line = bisect_right(self._line_starts, offset)
+        return SourceLocation(self.file, line, offset - self._line_starts[line - 1] + 1)
+
     def loc(self, tok: Token | None = None) -> SourceLocation:
-        tok = tok or self.cur
-        return SourceLocation(self.file, tok.line, tok.column)
+        return self.locate((tok or self.cur).offset)
 
     def fail(self, code: str, message: str, tok: Token | None = None) -> None:
         raise _Fail(Diagnostic(code, message, self.loc(tok)))
@@ -752,8 +726,7 @@ def parse_description(
 ) -> tuple[Document | None, list[Diagnostic]]:
     """Parse description text. Returns (document, []) or (None, diagnostics)."""
     try:
-        parser = _Parser(_lex(text, file_name), file_name)
-        return parser.parse_document(), []
+        return _Parser(text, file_name).parse_document(), []
     except _Fail as failure:
         return None, [failure.diagnostic]
 
@@ -763,8 +736,7 @@ def parse_catalog(
 ) -> tuple[PatternCatalog | None, list[Diagnostic]]:
     """Parse catalog text. Returns (catalog, []) or (None, diagnostics)."""
     try:
-        parser = _Parser(_lex(text, file_name), file_name)
-        return parser.parse_catalog_file(), []
+        return _Parser(text, file_name).parse_catalog_file(), []
     except _Fail as failure:
         return None, [failure.diagnostic]
 
