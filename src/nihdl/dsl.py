@@ -4,7 +4,9 @@ The format is a one-token-lookahead block grammar: braces delimit blocks,
 keys appear in a fixed canonical order, strings are double-quoted and
 single-line with \\" and \\\\ escapes, and `#` starts a line comment. A
 `nihdl-version 1` header line is accepted and ignored. Input may use LF
-or CRLF line endings; the serializer emits LF.
+or CRLF line endings; the serializer emits LF. A line feed or a lone
+carriage return ends a string before its closing quote (E002 at the
+opening quote), so every string that parses can be serialized again.
 
 Parsing is total: any input yields either a value or error diagnostics
 with source locations, never an unhandled exception. Diagnostic codes:
@@ -126,7 +128,7 @@ _SCAN = re.compile(r"""
     (?:
         (?P<RELATION>[1n]:[1m](?![A-Za-z0-9:_-]))
       | (?P<PUNCT>[{}\[\]():,])
-      | (?P<STRING>"[^"\\\n]*(?:\\(?:["\\]|(?!["\\]))[^"\\\n]*)*")
+      | (?P<STRING>"[^"\\\n\r]*(?:\\(?:["\\]|(?!["\\]))[^"\\\n\r]*)*")
       | (?P<INT>[0-9]+)
       | (?P<KEYWORD>[A-Za-z][A-Za-z0-9-]*)
       | (?P<EOF>\Z)
