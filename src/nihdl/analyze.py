@@ -142,8 +142,8 @@ def pattern_histogram(
 
     Counts are keyed in catalog depth-first leaf order, followed by any
     stated paths that do not resolve to a leaf (each of those also yields
-    an E110/E111 diagnostic). Leaf counts plus the unassigned count always
-    add up to the corpus size.
+    an E110/E111 diagnostic, located at the first method that names it).
+    Leaf counts plus the unassigned count always add up to the corpus size.
     """
     unassigned = 0
     raw: dict[PatternPath, int] = {}
@@ -161,13 +161,13 @@ def pattern_histogram(
                 unresolved.add(path)
                 diagnostics.append(
                     Diagnostic("E110", f"pattern path not found in catalog: {path.text}",
-                               method_name=m.name)
+                               location=m.location, method_name=m.name)
                 )
             elif resolution.kind is ResolutionKind.INTERNAL:
                 unresolved.add(path)
                 diagnostics.append(
                     Diagnostic("E111", f"pattern path is not a leaf: {path.text}",
-                               method_name=m.name)
+                               location=m.location, method_name=m.name)
                 )
     counts: dict[PatternPath, int] = {}
     for leaf in list_leaves(catalog):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from nihdl import analyze, model
+from nihdl import analyze, dsl, model
 from nihdl.analyze import (
     UnknownAttributeError,
     combined_groups,
@@ -21,6 +21,7 @@ from nihdl.analyze import (
 from nihdl.model import Presence, TrackedAttribute
 from nihdl.taxonomy import list_leaves
 
+from conftest import GAP_FILE
 from randgen import description
 
 
@@ -185,6 +186,22 @@ class TestPatternHistogram:
         counts, unassigned, diags = pattern_histogram([stray], catalog)
         assert [d.code for d in diags] == ["E110"]
         assert sum(counts.values()) + unassigned == 1
+
+    def test_unresolvable_path_located_at_first_method(self, catalog):
+        gap = GAP_FILE.read_text(encoding="utf-8").replace(
+            "Network Covert Timing Channels / Inter-arrival Time Pattern",
+            "Network Covert Timing Channels / Nope",
+        ).replace('"Inter-arrival Time Pattern": ', '"Nope": ')
+        second = gap.replace("Model-based inter-packet gap channel", "Second gap channel")
+        doc, parse_diags = dsl.parse_description(gap + "\n" + second, "corpus/stray.nihd")
+        assert parse_diags == []
+        stats = corpus_stats(list(doc.methods), catalog)
+        second_line = gap.count("\n") + 2
+        assert doc.methods[1].location.line == second_line
+        assert [d.render() for d in stats.diagnostics] == [
+            "corpus/stray.nihd:1:1: E110 error [Model-based inter-packet gap channel] "
+            "pattern path not found in catalog: Network Covert Timing Channels / Nope"
+        ]
 
 
 class TestCombinedGroups:
