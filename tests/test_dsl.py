@@ -149,6 +149,56 @@ class TestParseDescription:
         assert doc.methods[0].source == 'a "quoted" \\ name'
 
 
+_BAD_AT = "unexpected character '@'"
+
+
+@pytest.mark.parametrize("text, code, message, line, column", [
+    ("\t@", "E001", _BAD_AT, 1, 2),
+    ("# note @ here\n  @", "E001", _BAD_AT, 2, 3),
+    ("nihdl-version 1\r\n# comment\r\n\r\n   @", "E001", _BAD_AT, 4, 4),
+    ("\ufeffmethod @", "E001", _BAD_AT, 1, 8),
+    ('method "abc\n" {', "E002", "unterminated string", 1, 8),
+    ('\n  method "abc', "E002", "unterminated string", 2, 10),
+    ('method "abc\\"', "E002", "unterminated string", 1, 8),
+    ('method "a\rb" {', "E002", "unterminated string", 1, 8),
+    ('method "a\\\rb" {', "E002", "unterminated string", 1, 8),
+    ('method "x" {\n  source: "s"', "E001", "unexpected end of input", 2, 14),
+    ('method "x" {\n  source: "s"\n', "E001", "unexpected end of input", 3, 1),
+], ids=[
+    "after-tab", "after-comment", "after-crlf-lines", "after-bom",
+    "string-cut-by-newline", "string-cut-by-end", "string-cut-after-escaped-quote",
+    "string-cut-by-lone-cr", "string-cut-by-cr-after-backslash",
+    "end-of-input", "end-of-input-after-newline",
+])
+def test_lexer_diagnostic_location(text, code, message, line, column):
+    doc, diags = dsl.parse_description(text, "t")
+    assert doc is None
+    assert [(d.code, d.message, d.location.line, d.location.column) for d in diags] == [
+        (code, message, line, column)
+    ]
+
+
+@pytest.mark.parametrize("text, tokens", [
+    ("\r1\r", [("INT", "1", 1, 2, 1), ("EOF", "", 1, 4, None)]),
+    ("1:1", [("RELATION", "1:1", 1, 1, None), ("EOF", "", 1, 4, None)]),
+    ("1:1x", [("INT", "1", 1, 1, 1), ("COLON", ":", 1, 2, None),
+              ("INT", "1", 1, 3, 1), ("KEYWORD", "x", 1, 4, None),
+              ("EOF", "", 1, 5, None)]),
+    ("12abc", [("INT", "12", 1, 1, 12), ("KEYWORD", "abc", 1, 3, None),
+               ("EOF", "", 1, 6, None)]),
+    (r'"a\"b" "c\\d"', [("STRING", 'a"b', 1, 1, 'a"b'),
+                        ("STRING", "c\\d", 1, 8, "c\\d"), ("EOF", "", 1, 14, None)]),
+    (r'"\q\\\n\x" x', [("STRING", "\\q\\\\n\\x", 1, 1, "\\q\\\\n\\x"),
+                       ("KEYWORD", "x", 1, 12, None), ("EOF", "", 1, 13, None)]),
+], ids=["lone-cr-is-blank", "relation", "relation-prefix-then-word",
+        "int-then-keyword", "escapes", "backslash-before-other-is-literal"])
+def test_lexer_tokens(text, tokens):
+    parser = dsl._Parser(text, "t")
+    located = [(t, parser.locate(t.offset)) for t in parser.tokens]
+    assert [(t.kind.name, t.text, loc.line, loc.column, t.value)
+            for t, loc in located] == tokens
+
+
 class TestParseCatalog:
     def test_seed_catalog_file(self):
         catalog, diags = dsl.parse_catalog(CATALOG_FILE.read_text(), str(CATALOG_FILE))
