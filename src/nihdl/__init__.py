@@ -40,6 +40,7 @@ from .model import (
     TrackedAttribute,
     WardenProfile,
     attribute_presence,
+    coverage,
     normalize,
 )
 from .novelty import (
@@ -68,6 +69,6 @@ from .taxonomy import (
     resolve_path,
     seed_catalog,
 )
-from .validate import ValidationMode, validate, validate_document
+from .validate import ValidationMode, validate_document
 
 __version__ = "0.1.0"

@@ -2,9 +2,12 @@
 combined-evaluation groups, within-publication inconsistencies and
 comparison matrices.
 
-Ratios are exact rationals and are rendered at one decimal percent;
-"covered" means fully or partially present. Aggregation is order
-independent, so results are deterministic for a given corpus.
+Every aggregate folds over coverage rows: ``model.coverage`` reads a
+method's blocks once into its six (presence, group) pairs, and each
+public function computes one row per method and derives its result from
+those rows alone. Ratios are exact rationals and are rendered at one
+decimal percent; "covered" means fully or partially present. Aggregation
+is order independent, so results are deterministic for a given corpus.
 """
 
 from __future__ import annotations
@@ -14,13 +17,14 @@ from fractions import Fraction
 
 from .diagnostics import Diagnostic
 from .model import (
+    CoverageRow,
     DirectnessKind,
     MethodDescription,
     Presence,
     Relation,
     SharedGroup,
     TrackedAttribute,
-    attribute_presence,
+    coverage,
 )
 from .taxonomy import (
     PatternCatalog,
@@ -67,9 +71,10 @@ class CoverageVector:
 def completeness(d: MethodDescription) -> CoverageVector:
     """Coverage of the six tracked attributes; aggregate maps full to 1,
     partial to 1/2, absent to 0 and averages over the six."""
-    presences = {attr: attribute_presence(d, attr) for attr in TrackedAttribute}
-    total = sum((p.score for p, _ in presences.values()), Fraction(0))
-    return CoverageVector(presences=presences, aggregate=total / len(TrackedAttribute))
+    row = coverage(d)
+    # Presence values are 0, 1 and 2, so their sum is 2*full + partial.
+    total = sum(presence for presence, _ in row)
+    return CoverageVector(dict(zip(TrackedAttribute, row)), Fraction(total, 2 * len(row)))
 
 
 @dataclass(frozen=True)
@@ -96,20 +101,13 @@ class AttributeCounts:
         return format_percent(self.covered, self.total)
 
 
-def _count_attributes(methods: list[MethodDescription]) -> dict[TrackedAttribute, AttributeCounts]:
-    counts: dict[TrackedAttribute, AttributeCounts] = {}
-    for attr in TrackedAttribute:
-        full = partial = absent = 0
-        for m in methods:
-            presence, _ = attribute_presence(m, attr)
-            if presence is Presence.FULL:
-                full += 1
-            elif presence is Presence.PARTIAL:
-                partial += 1
-            else:
-                absent += 1
-        counts[attr] = AttributeCounts(full, partial, absent)
-    return counts
+def _count_attributes(rows: list[CoverageRow]) -> dict[TrackedAttribute, AttributeCounts]:
+    tallies = [[0, 0, 0] for _ in TrackedAttribute]  # absent, partial, full
+    for row in rows:
+        for tally, (presence, _) in zip(tallies, row):
+            tally[presence] += 1
+    return {attr: AttributeCounts(full, partial, absent)
+            for attr, (absent, partial, full) in zip(TrackedAttribute, tallies)}
 
 
 @dataclass(frozen=True)
@@ -121,18 +119,18 @@ class YearStats:
 def stats_by_year(methods: list[MethodDescription]) -> dict[int | None, YearStats]:
     """Attribute counts per publication year, years ascending; methods
     without a year are grouped under None ("unknown"), listed last."""
-    buckets: dict[int | None, list[MethodDescription]] = {}
-    for m in methods:
-        buckets.setdefault(m.year, []).append(m)
-    ordered = sorted((y for y in buckets if y is not None))
-    result: dict[int | None, YearStats] = {}
-    for year in ordered:
-        group = buckets[year]
-        result[year] = YearStats(total=len(group), attributes=_count_attributes(group))
+    return _stats_by_year(methods, [coverage(m) for m in methods])
+
+
+def _stats_by_year(methods: list[MethodDescription], rows: list[CoverageRow]) -> dict:
+    buckets: dict[int | None, list[CoverageRow]] = {}
+    for m, row in zip(methods, rows):
+        buckets.setdefault(m.year, []).append(row)
+    years: list[int | None] = sorted(y for y in buckets if y is not None)
     if None in buckets:
-        group = buckets[None]
-        result[None] = YearStats(total=len(group), attributes=_count_attributes(group))
-    return result
+        years.append(None)
+    return {year: YearStats(len(buckets[year]), _count_attributes(buckets[year]))
+            for year in years}
 
 
 def pattern_histogram(
@@ -191,10 +189,11 @@ class CorpusStats:
 def corpus_stats(methods: list[MethodDescription], catalog: PatternCatalog) -> CorpusStats:
     """Corpus-level coverage counts, per-year table and pattern histogram."""
     histogram, unassigned, diagnostics = pattern_histogram(methods, catalog)
+    rows = [coverage(m) for m in methods]
     return CorpusStats(
         total=len(methods),
-        attributes=_count_attributes(methods),
-        by_year=stats_by_year(methods),
+        attributes=_count_attributes(rows),
+        by_year=_stats_by_year(methods, rows),
         histogram=histogram,
         unassigned=unassigned,
         diagnostics=tuple(diagnostics),
@@ -218,8 +217,7 @@ def combined_groups(methods: list[MethodDescription]) -> list[CombinedGroup]:
     carriers: dict[tuple[str | None, str], dict[TrackedAttribute, list[str]]] = {}
     members: dict[tuple[str | None, str], list[str]] = {}
     for m in methods:
-        for attr in TrackedAttribute:
-            _, shared = attribute_presence(m, attr)
+        for attr, (_, shared) in zip(TrackedAttribute, coverage(m)):
             if shared is None:
                 continue
             key = (m.source, shared.label)
@@ -265,35 +263,31 @@ def inconsistency_report(methods: list[MethodDescription]) -> list[Inconsistency
     for source, group in by_source.items():
         if len(group) < 2:
             continue
-        for attr in TrackedAttribute:
-            presences = tuple(
-                (m.name, attribute_presence(m, attr)[0]) for m in group
-            )
+        columns = zip(*(coverage(m) for m in group))
+        for attr, column in zip(TrackedAttribute, columns):
+            presences = tuple((m.name, p) for m, (p, _) in zip(group, column))
             if len({p for _, p in presences}) > 1:
                 rows.append(InconsistencyRow(source, attr, presences))
     return rows
 
 
-def _matrix_cell(method: MethodDescription, column: str) -> str:
-    if column == RELATION_COLUMN:
+def _matrix_cell(method: MethodDescription, row: CoverageRow, index: int) -> str:
+    # ``index`` is the column's position in MATRIX_COLUMNS; the first six
+    # are the tracked attributes, in coverage-row order.
+    if index < len(row):
+        presence, shared = row[index]
+        cell = _PRESENCE_CELL[presence]
+        return cell + ",combined" if shared is not None else cell
+    if MATRIX_COLUMNS[index] == RELATION_COLUMN:
         return "No" if method.sender.relation is Relation.UNSPECIFIED else "Yes"
-    if column == DIRECTNESS_COLUMN:
-        directness = method.channel.directness
-        if directness.kind is DirectnessKind.UNSPECIFIED:
-            return "No"
-        if directness.kind is DirectnessKind.INDIRECT and not directness.requirements.strip():
-            # Stated indirect but the intermediary is not described:
-            # a partially covered directness.
-            return "Par"
-        return "Yes"
-    for attr in TrackedAttribute:
-        if attr.key == column:
-            presence, shared = attribute_presence(method, attr)
-            cell = _PRESENCE_CELL[presence]
-            return cell + ",combined" if shared is not None else cell
-    raise UnknownAttributeError(
-        f"unknown attribute {column!r}; known: {', '.join(MATRIX_COLUMNS)}"
-    )
+    directness = method.channel.directness
+    if directness.kind is DirectnessKind.UNSPECIFIED:
+        return "No"
+    if directness.kind is DirectnessKind.INDIRECT and not directness.requirements.strip():
+        # Stated indirect but the intermediary is not described:
+        # a partially covered directness.
+        return "Par"
+    return "Yes"
 
 
 def comparison_matrix(
@@ -310,7 +304,9 @@ def comparison_matrix(
             raise UnknownAttributeError(
                 f"unknown attribute {column!r}; known: {', '.join(MATRIX_COLUMNS)}"
             )
-    return [[_matrix_cell(m, column) for column in attributes] for m in methods]
+    indexes = [MATRIX_COLUMNS.index(column) for column in attributes]
+    rows = [coverage(m) for m in methods]
+    return [[_matrix_cell(m, row, i) for i in indexes] for m, row in zip(methods, rows)]
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
-from fractions import Fraction
 
 from .taxonomy import PatternPath
 
@@ -27,11 +26,6 @@ class Presence(IntEnum):
     ABSENT = 0
     PARTIAL = 1
     FULL = 2
-
-    @property
-    def score(self) -> Fraction:
-        # FULL counts 1, PARTIAL 1/2, ABSENT 0 in completeness aggregates.
-        return Fraction(self.value, 2)
 
 
 @dataclass(frozen=True)
@@ -362,41 +356,43 @@ class TrackedAttribute(Enum):
         return self.value
 
 
-def attribute_presence(
-    d: MethodDescription, attribute: TrackedAttribute
-) -> tuple[Presence, SharedGroup | None]:
-    """Presence of one tracked attribute, plus its combined-description group.
+CoverageRow = tuple[tuple[Presence, SharedGroup | None], ...]
+_ABSENT = (Presence.ABSENT, None)
+
+
+def coverage(d: MethodDescription) -> CoverageRow:
+    """Presence of each tracked attribute, plus its combined-description
+    group, in TrackedAttribute order: one coverage row.
 
     Optional blocks that are missing count as ABSENT. Countermeasure
     presence is derived from the entries: FULL once at least one entry was
     evaluated, PARTIAL when entries exist but none was, ABSENT without
-    entries.
+    entries. Countermeasures and the control protocol carry no group.
     """
-    if attribute is TrackedAttribute.APPLICATION_SCENARIO:
-        if d.scenario is None:
-            return Presence.ABSENT, None
-        return d.scenario.presence, d.scenario.shared
-    if attribute is TrackedAttribute.CARRIER_REQUIREMENTS:
-        return d.carrier.presence, d.carrier.shared
-    if attribute is TrackedAttribute.COUNTERMEASURES:
-        if not d.countermeasures:
-            return Presence.ABSENT, None
-        if any(entry.evaluated for entry in d.countermeasures):
-            return Presence.FULL, None
-        return Presence.PARTIAL, None
-    if attribute is TrackedAttribute.BANDWIDTH:
-        metric = d.channel.bandwidth
-    elif attribute is TrackedAttribute.ROBUSTNESS:
-        metric = d.channel.robustness
-    elif attribute is TrackedAttribute.CONTROL_PROTOCOL:
-        if d.control_protocol is None:
-            return Presence.ABSENT, None
-        return d.control_protocol.presence, None
-    else:  # pragma: no cover - exhaustive enum
-        raise ValueError(f"unknown attribute {attribute!r}")
-    if metric is None:
-        return Presence.ABSENT, None
-    return metric.presence, metric.shared
+    bandwidth = d.channel.bandwidth
+    robustness = d.channel.robustness
+    if not d.countermeasures:
+        countermeasures = _ABSENT
+    elif any(entry.evaluated for entry in d.countermeasures):
+        countermeasures = (Presence.FULL, None)
+    else:
+        countermeasures = (Presence.PARTIAL, None)
+    return (
+        _ABSENT if d.scenario is None else (d.scenario.presence, d.scenario.shared),
+        (d.carrier.presence, d.carrier.shared),
+        countermeasures,
+        _ABSENT if bandwidth is None else (bandwidth.presence, bandwidth.shared),
+        _ABSENT if robustness is None else (robustness.presence, robustness.shared),
+        _ABSENT if d.control_protocol is None else (d.control_protocol.presence, None),
+    )
+
+
+def attribute_presence(
+    d: MethodDescription, attribute: TrackedAttribute
+) -> tuple[Presence, SharedGroup | None]:
+    """Presence of one tracked attribute, plus its combined-description
+    group: that attribute's entry in ``coverage(d)``."""
+    return coverage(d)[list(TrackedAttribute).index(attribute)]
 
 
 def normalize(d: MethodDescription) -> MethodDescription:

@@ -62,6 +62,18 @@ class TestCompleteness:
     def test_all_absent_aggregates_to_zero(self, gap_method):
         assert completeness(all_presence(gap_method, Presence.ABSENT)).aggregate == 0
 
+    def test_presence_weights(self, gap_method):
+        # FULL counts 1, PARTIAL 1/2 and ABSENT 0, averaged over the six.
+        base = all_presence(gap_method, Presence.ABSENT)
+        partial = dataclasses.replace(
+            base, carrier=dataclasses.replace(base.carrier, presence=Presence.PARTIAL))
+        full = dataclasses.replace(
+            partial, channel=dataclasses.replace(
+                partial.channel, bandwidth=model.ChannelCharacteristic(Presence.FULL)))
+        assert completeness(partial).aggregate == Fraction(1, 12)
+        assert completeness(full).aggregate == Fraction(3, 12)
+        assert str(completeness(full).aggregate) == "1/4"
+
     def test_gap_fixture_five_sixths(self, gap_method):
         # Everything full except the explicitly absent control protocol.
         vector = completeness(gap_method)

@@ -13,19 +13,66 @@ from nihdl.model import (
     Presence,
     TrackedAttribute,
     attribute_presence,
+    coverage,
     normalize,
 )
-from nihdl.taxonomy import PatternPath
+from nihdl.taxonomy import PatternPath, list_leaves, seed_catalog
+
+from conftest import SYNTHETIC_DIR, parse_fixture
+from randgen import description
 
 
 def test_presence_is_totally_ordered():
     assert Presence.ABSENT < Presence.PARTIAL < Presence.FULL
 
 
-def test_presence_scores():
-    assert Presence.FULL.score == 1
-    assert Presence.PARTIAL.score * 2 == 1
-    assert Presence.ABSENT.score == 0
+def _reference_presence(d, attribute):
+    """The per-attribute rule as one if-chain: the reference for coverage()."""
+    if attribute is TrackedAttribute.APPLICATION_SCENARIO:
+        if d.scenario is None:
+            return Presence.ABSENT, None
+        return d.scenario.presence, d.scenario.shared
+    if attribute is TrackedAttribute.CARRIER_REQUIREMENTS:
+        return d.carrier.presence, d.carrier.shared
+    if attribute is TrackedAttribute.COUNTERMEASURES:
+        if not d.countermeasures:
+            return Presence.ABSENT, None
+        if any(entry.evaluated for entry in d.countermeasures):
+            return Presence.FULL, None
+        return Presence.PARTIAL, None
+    if attribute is TrackedAttribute.BANDWIDTH:
+        metric = d.channel.bandwidth
+    elif attribute is TrackedAttribute.ROBUSTNESS:
+        metric = d.channel.robustness
+    elif attribute is TrackedAttribute.CONTROL_PROTOCOL:
+        if d.control_protocol is None:
+            return Presence.ABSENT, None
+        return d.control_protocol.presence, None
+    else:
+        raise ValueError(f"unknown attribute {attribute!r}")
+    if metric is None:
+        return Presence.ABSENT, None
+    return metric.presence, metric.shared
+
+
+def _reference_methods():
+    for path in sorted((SYNTHETIC_DIR / "descriptions").glob("*.nihd")):
+        yield from parse_fixture(path).methods
+    rng = random.Random(20151)
+    paths = list_leaves(seed_catalog())
+    for _ in range(400):
+        yield description(rng, paths)
+
+
+def test_coverage_matches_reference_rule():
+    checked = 0
+    for d in _reference_methods():
+        expected = tuple(_reference_presence(d, attr) for attr in TrackedAttribute)
+        assert coverage(d) == expected, d.name
+        for attr, pair in zip(TrackedAttribute, expected):
+            assert attribute_presence(d, attr) == pair, (d.name, attr)
+        checked += 1
+    assert checked == 131 + 400
 
 
 class TestAttributePresence:
