@@ -17,7 +17,7 @@ Rules:
     E140  no elimination / no detection countermeasure entry
     E141  no limitation entry and no applicable elimination entry
     E142  not-applicable entry without a justification text
-    E150  duplicate method names within a document
+    E150  duplicate method names within a document (at the first one)
     E210  (strict) unspecified enum value
     E211  (strict) application-scenario block missing
     W200  a path element has no justify entry
@@ -185,16 +185,17 @@ def validate_document(
             )
         ]
     diags: list[Diagnostic] = []
-    seen: dict[str, int] = {}
+    seen: dict[str, list[model.MethodDescription]] = {}
     for method in doc.methods:
         diags.extend(validate(method, catalog, mode))
-        seen[method.name] = seen.get(method.name, 0) + 1
-    for name, count in seen.items():
-        if count > 1:
+        seen.setdefault(method.name, []).append(method)
+    for name, methods in seen.items():
+        if len(methods) > 1:
             diags.append(
                 Diagnostic(
                     "E150",
-                    f"method name {name!r} appears {count} times in the document",
+                    f"method name {name!r} appears {len(methods)} times in the document",
+                    location=methods[0].location,  # type: ignore[arg-type]
                     method_name=name,
                 )
             )

@@ -10,6 +10,7 @@ from nihdl.diagnostics import Severity
 from nihdl.taxonomy import PatternCatalog, PatternPath, UNASSIGNED
 from nihdl.validate import ValidationMode, validate, validate_document
 
+from conftest import DHCP_FILE, GAP_FILE
 from randgen import description
 from nihdl.taxonomy import list_leaves
 
@@ -239,6 +240,15 @@ class TestDocumentLevel:
         doc = dsl.Document(methods=(gap_method, gap_method))
         diags = validate_document(doc, catalog)
         assert codes(diags) == ["E150"]
+        # Parsed, the finding sits at the first method of that name.
+        text = DHCP_FILE.read_text() + GAP_FILE.read_text() * 2
+        doc, parse_diags = dsl.parse_description(text, "dup.nihd")
+        assert not parse_diags
+        [diag] = validate_document(doc, catalog)
+        assert diag.render() == (
+            "dup.nihd:85:1: E150 error [Model-based inter-packet gap channel] method name "
+            "'Model-based inter-packet gap channel' appears 2 times in the document"
+        )
 
     def test_empty_document(self, catalog):
         assert validate_document(dsl.Document(), catalog) == []
@@ -301,3 +311,13 @@ class TestProperties:
             strict_errors = {c for c in codes(validate(d, catalog, STRICT))
                              if c.startswith("E")}
             assert survey_errors <= strict_errors
+
+
+def test_package_attribute_is_the_validate_module():
+    # The package re-exports validate_document, not the function that
+    # shares the submodule's name, so the submodule stays reachable.
+    import nihdl
+    import nihdl.validate as V
+
+    assert V.validate_document is validate_document is nihdl.validate_document
+    assert V.ValidationMode is nihdl.ValidationMode
