@@ -40,11 +40,28 @@ class _UsageError(Exception):
     pass
 
 
+class _Exit(Exception):
+    """Ends a command with ``status``; the reason is already printed."""
+
+    def __init__(self, status: int) -> None:
+        self.status = status
+
+
 def _print_diagnostics(diags: list[Diagnostic]) -> bool:
     """Write diagnostics to stderr; True when any is an error."""
     for diag in diags:
         print(diag.render(), file=sys.stderr)
     return any(d.severity is Severity.ERROR for d in diags)
+
+
+def _read_document(path: str) -> dsl.Document:
+    """Parse one description file, or print why not and exit: 2 when the
+    file cannot be read (E007), 1 when it does not parse."""
+    document, diags = store.read_description_file(path)
+    if document is None:
+        _print_diagnostics(diags)
+        raise _Exit(EXIT_USAGE if any(d.code == "E007" for d in diags) else EXIT_DIAGNOSTICS)
+    return document
 
 
 def _catalog_path(args) -> str | None:
@@ -234,13 +251,7 @@ def build_report(m: model.MethodDescription) -> str:
 
 
 def cmd_render(args) -> int:
-    document, diags = store.read_description_file(args.file)
-    if any(d.code == "E007" for d in diags):
-        _print_diagnostics(diags)
-        return EXIT_USAGE
-    if document is None:
-        _print_diagnostics(diags)
-        return EXIT_DIAGNOSTICS
+    document = _read_document(args.file)
     methods = list(document.methods)
     if args.method is not None:
         methods = [m for m in methods if m.name == args.method]
@@ -364,14 +375,7 @@ def cmd_stats(args) -> int:
 def cmd_compare(args) -> int:
     methods: list[model.MethodDescription] = []
     for file_name in args.files:
-        document, diags = store.read_description_file(file_name)
-        if any(d.code == "E007" for d in diags):
-            _print_diagnostics(diags)
-            return EXIT_USAGE
-        if document is None:
-            _print_diagnostics(diags)
-            return EXIT_DIAGNOSTICS
-        methods.extend(document.methods)
+        methods.extend(_read_document(file_name).methods)
     attributes = [a.strip() for a in args.attributes.split(",") if a.strip()]
     try:
         matrix = analyze.comparison_matrix(methods, attributes)
@@ -398,13 +402,7 @@ def cmd_assess(args) -> int:
     catalog = _load_catalog(catalog_path)
     if catalog is None:
         return EXIT_DIAGNOSTICS
-    document, diags = store.read_description_file(args.file)
-    if any(d.code == "E007" for d in diags):
-        _print_diagnostics(diags)
-        return EXIT_USAGE
-    if document is None:
-        _print_diagnostics(diags)
-        return EXIT_DIAGNOSTICS
+    document = _read_document(args.file)
     for method in document.methods:
         print(novelty.assess(method, catalog).render())
     return EXIT_OK
@@ -419,7 +417,7 @@ def cmd_catalog_add(args) -> int:
         return EXIT_DIAGNOSTICS
     try:
         justification = Path(args.justification).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read justification file: {exc}") from None
     if not justification.strip():
         raise _UsageError("the justification file is empty")
@@ -517,6 +515,8 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except _Exit as exc:
+        return exc.status
 
 
 if __name__ == "__main__":

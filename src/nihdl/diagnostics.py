@@ -79,7 +79,3 @@ def sort_key(diag: Diagnostic) -> tuple:
         loc.column if loc else 0,
         diag.method_name or "",
     )
-
-
-def has_errors(diags: list[Diagnostic]) -> bool:
-    return any(d.severity is Severity.ERROR for d in diags)

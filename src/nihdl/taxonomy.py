@@ -6,8 +6,8 @@ pattern; classification requires the path to end on a leaf. All values
 are immutable; extension returns a new catalog.
 
 Pattern names match byte-wise (case-sensitive, no normalization), may not
-contain "/" (the textual path separator is " / ") and carry no leading or
-trailing whitespace. Sibling order is author order and is preserved.
+contain "/" (the textual path separator is " / ") or a line break, and carry
+no leading or trailing whitespace. Sibling order is author order and is preserved.
 """
 
 from __future__ import annotations
@@ -47,6 +47,8 @@ def _check_name(name: str) -> str:
         raise InvalidNameError("pattern name must be non-empty")
     if "/" in name:
         raise InvalidNameError(f"pattern name may not contain '/': {name!r}")
+    if "\n" in name or "\r" in name:
+        raise InvalidNameError(f"pattern name may not contain a line break: {name!r}")
     if name != name.strip():
         raise InvalidNameError(f"pattern name has leading/trailing whitespace: {name!r}")
     return name
@@ -148,10 +150,6 @@ class Resolution:
     node: PatternNode | None = None
     # Index of the first element that fails to match, for NOT_FOUND.
     failed_index: int | None = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.kind is ResolutionKind.LEAF
 
 
 def resolve_path(catalog: PatternCatalog, path: PatternPath) -> Resolution:

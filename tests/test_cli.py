@@ -5,6 +5,8 @@ import io
 import json
 import shutil
 
+import pytest
+
 from nihdl.cli import main
 
 from conftest import (
@@ -337,3 +339,93 @@ def test_usage_error_for_unknown_command(capsys):
 
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
+
+
+# Hostile inputs for every subcommand: none may end in a traceback. Each
+# argv names placeholders that the ``hostile`` fixture fills in: a
+# directory where a file is expected, a file that is not UTF-8, a
+# description that does not parse, corpora without content, and
+# catalog-add values that cannot be stored.
+HOSTILE_CASES = [
+    ("validate-directory", ["validate", "{directory}", "--catalog", "{catalog}"], 2),
+    ("validate-not-utf8", ["validate", "{latin1}", "--catalog", "{catalog}"], 2),
+    ("validate-malformed", ["validate", "{malformed}", "--catalog", "{catalog}"], 1),
+    ("validate-catalog-directory", ["validate", "{gap}", "--catalog", "{directory}"], 2),
+    ("validate-catalog-not-utf8", ["validate", "{gap}", "--catalog", "{latin1}"], 2),
+    ("render-directory", ["render", "{directory}"], 2),
+    ("render-not-utf8", ["render", "{latin1}"], 2),
+    ("render-malformed", ["render", "{malformed}"], 1),
+    ("tree-catalog-directory", ["tree", "--catalog", "{directory}"], 2),
+    ("tree-catalog-not-utf8", ["tree", "--catalog", "{latin1}"], 2),
+    ("tree-catalog-malformed", ["tree", "--catalog", "{malformed}"], 1),
+    ("stats-empty-directory", ["stats", "{directory}"], 2),
+    ("stats-empty-corpus", ["stats", "{empty_corpus}", "--by-year", "--patterns",
+                            "--combined", "--inconsistent"], 0),
+    ("stats-empty-corpus-json", ["stats", "{empty_corpus}", "--format", "json"], 0),
+    ("stats-file-as-corpus", ["stats", "{gap}"], 2),
+    ("stats-hostile-corpus", ["stats", "{hostile_corpus}", "--format", "csv"], 1),
+    ("compare-directory", ["compare", "{directory}"], 2),
+    ("compare-not-utf8", ["compare", "{gap}", "{latin1}"], 2),
+    ("compare-malformed", ["compare", "{gap}", "{malformed}"], 1),
+    ("assess-directory", ["assess", "{directory}", "--catalog", "{catalog}"], 2),
+    ("assess-not-utf8", ["assess", "{latin1}", "--catalog", "{catalog}"], 2),
+    ("assess-malformed", ["assess", "{malformed}", "--catalog", "{catalog}"], 1),
+    ("assess-catalog-directory", ["assess", "{gap}", "--catalog", "{directory}"], 2),
+    ("catalog-add-catalog-directory",
+     ["catalog-add", "--catalog", "{directory}", "--parent", "Network Covert Timing Channels",
+      "--name", "Rate Pattern", "--justification", "{why}"], 2),
+    ("catalog-add-catalog-not-utf8",
+     ["catalog-add", "--catalog", "{latin1}", "--parent", "Network Covert Timing Channels",
+      "--name", "Rate Pattern", "--justification", "{why}"], 2),
+    ("catalog-add-justification-directory",
+     ["catalog-add", "--catalog", "{catalog}", "--parent", "Network Covert Timing Channels",
+      "--name", "Rate Pattern", "--justification", "{directory}"], 2),
+    ("catalog-add-justification-not-utf8",
+     ["catalog-add", "--catalog", "{catalog}", "--parent", "Network Covert Timing Channels",
+      "--name", "Rate Pattern", "--justification", "{latin1}"], 2),
+    ("catalog-add-name-line-feed",
+     ["catalog-add", "--catalog", "{catalog}", "--parent", "Network Covert Timing Channels",
+      "--name", "Rate\nPattern", "--justification", "{why}"], 2),
+    ("catalog-add-name-carriage-return",
+     ["catalog-add", "--catalog", "{catalog}", "--parent", "Network Covert Timing Channels",
+      "--name", "Rate\rPattern", "--justification", "{why}"], 2),
+]
+
+
+@pytest.fixture
+def hostile(tmp_path):
+    directory = tmp_path / "directory.nihd"
+    directory.mkdir()
+    latin1 = tmp_path / "latin1.nihd"
+    latin1.write_bytes(b'method "caf\xe9" {\n')
+    malformed = tmp_path / "malformed.nihd"
+    malformed.write_text(GAP_FILE.read_text().replace("      relation: 1:1\n", ""))
+    catalog = tmp_path / "catalog.nihc"
+    shutil.copy(CATALOG_FILE, catalog)
+    why = tmp_path / "why.txt"
+    why.write_text("Signals information through sending rates.\n")
+    empty_corpus = tmp_path / "empty"
+    (empty_corpus / "descriptions").mkdir(parents=True)
+    shutil.copy(CATALOG_FILE, empty_corpus / "catalog.nihc")
+    hostile_corpus = tmp_path / "hostile"
+    shutil.copytree(empty_corpus, hostile_corpus)
+    shutil.copy(latin1, hostile_corpus / "descriptions")
+    shutil.copy(malformed, hostile_corpus / "descriptions")
+    (hostile_corpus / "descriptions" / "subdirectory.nihd").mkdir()
+    shutil.copy(GAP_FILE, hostile_corpus / "descriptions")
+    paths = dict(directory=directory, latin1=latin1, malformed=malformed, catalog=catalog,
+                 why=why, empty_corpus=empty_corpus, hostile_corpus=hostile_corpus,
+                 gap=GAP_FILE)
+    return {name: str(path) for name, path in paths.items()}
+
+
+@pytest.mark.parametrize("argv,expected", [case[1:] for case in HOSTILE_CASES],
+                         ids=[case[0] for case in HOSTILE_CASES])
+def test_hostile_input_exits_without_traceback(capsys, monkeypatch, hostile, argv, expected):
+    monkeypatch.delenv("NIHDL_CATALOG", raising=False)
+    catalog_before = open(hostile["catalog"], "rb").read()
+    code, _, err = run(capsys, [arg.format(**hostile) for arg in argv])
+    assert "Traceback" not in err
+    assert code == expected, err
+    if argv[0] == "catalog-add":
+        assert open(hostile["catalog"], "rb").read() == catalog_before

@@ -149,7 +149,7 @@ class TestExtendCatalog:
 
     def test_invalid_name(self, catalog):
         parent = PatternPath.of("Network Covert Timing Channels")
-        for bad in ("", "a/b", " padded "):
+        for bad in ("", "a/b", " padded ", "line\nfeed", "carriage\rreturn"):
             with pytest.raises(InvalidNameError):
                 extend_catalog(catalog, parent, bad)
 
