@@ -41,10 +41,7 @@ class _UsageError(Exception):
 
 
 class _Exit(Exception):
-    """Ends a command with ``status``; the reason is already printed."""
-
-    def __init__(self, status: int) -> None:
-        self.status = status
+    """Ends a command with the exit status in ``args[0]``; the reason is already printed."""
 
 
 def _print_diagnostics(diags: list[Diagnostic]) -> bool:
@@ -516,7 +513,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except _Exit as exc:
-        return exc.status
+        return exc.args[0]
 
 
 if __name__ == "__main__":
