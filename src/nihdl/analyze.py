@@ -122,7 +122,9 @@ def stats_by_year(methods: list[MethodDescription]) -> dict[int | None, YearStat
     return _stats_by_year(methods, [coverage(m) for m in methods])
 
 
-def _stats_by_year(methods: list[MethodDescription], rows: list[CoverageRow]) -> dict:
+def _stats_by_year(
+    methods: list[MethodDescription], rows: list[CoverageRow]
+) -> dict[int | None, YearStats]:
     buckets: dict[int | None, list[CoverageRow]] = {}
     for m, row in zip(methods, rows):
         buckets.setdefault(m.year, []).append(row)
