@@ -140,6 +140,13 @@ class TestRenderCommand:
         assert code == 0
         assert "SDP o-tag" in out and "Link quality" not in out
 
+    @pytest.mark.parametrize("path", [GAP_FILE, DHCP_FILE, JOINT_FILE],
+                             ids=lambda path: path.stem)
+    def test_report_bytes(self, capsys, path):
+        code, out, err = run(capsys, ["render", str(path)])
+        assert code == 0 and err == ""
+        assert out == (GOLDEN / f"{path.stem}.render.txt").read_text(encoding="utf-8")
+
 
 class TestTreeCommand:
     def test_seed_by_default(self, capsys):

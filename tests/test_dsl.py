@@ -1,6 +1,9 @@
 """Lexing, parsing, diagnostics and the canonical serializer."""
 
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,7 +11,7 @@ from nihdl import dsl
 from nihdl.diagnostics import Severity
 from nihdl.taxonomy import ResolutionKind, list_leaves, resolve_path, seed_catalog
 
-from conftest import CATALOG_FILE, DHCP_FILE, GAP_FILE, GOLDEN
+from conftest import CATALOG_FILE, DHCP_FILE, GAP_FILE, GOLDEN, JOINT_FILE, SYNTHETIC_DIR
 from randgen import document
 
 
@@ -263,6 +266,47 @@ class TestSerialize:
         catalog, diags = dsl.parse_catalog(text, "t")
         assert diags == []
         assert catalog == seed_catalog()
+
+
+    def test_synthetic_corpus_regenerates(self, tmp_path):
+        tool = Path(__file__).parent.parent / "tools" / "make_synthetic_corpus.py"
+        subprocess.run([sys.executable, str(tool), "--root", str(tmp_path)],
+                       check=True, capture_output=True)
+
+        def files(root):
+            return {p.relative_to(root).as_posix(): p.read_bytes()
+                    for p in sorted(root.rglob("*")) if p.is_file()}
+
+        assert files(tmp_path) == files(SYNTHETIC_DIR)
+
+
+def _sequencing_mutants():
+    """Every line of each description fixture deleted, duplicated, and
+    swapped with the next line, each yielded with a label."""
+    for path in (GAP_FILE, DHCP_FILE, JOINT_FILE):
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        for i in range(len(lines)):
+            where = f"{path.name}:{i + 1}"
+            yield f"{where} delete", lines[:i] + lines[i + 1:]
+            yield f"{where} duplicate", lines[:i + 1] + lines[i:]
+            if i + 1 < len(lines):
+                yield f"{where} swap", lines[:i] + [lines[i + 1], lines[i]] + lines[i + 2:]
+
+
+def test_key_sequencing_golden():
+    """Whole-line mutants pin the E001/E003/E005 choice for keys that are
+    missing, repeated or out of order; whatever parses round-trips."""
+    rendered = []
+    for label, lines in _sequencing_mutants():
+        doc, diags = dsl.parse_description("".join(lines), "m")
+        if doc is None:
+            rendered.extend(f"{label}: {d.render()}" for d in diags)
+            continue
+        rendered.append(f"{label}: parses")
+        again, diags = dsl.parse_description(dsl.serialize(doc), "again")
+        assert diags == [] and again == dsl.normalize_document(doc), label
+    golden = (GOLDEN / "sequencing.txt").read_text(encoding="utf-8")
+    assert "\n".join(rendered) + "\n" == golden
 
 
 class TestRoundTripProperty:
