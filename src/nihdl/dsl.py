@@ -22,6 +22,12 @@ The serializer produces the canonical form: schema ordering, two-space
 indentation per block depth, one key per line, a trailing newline, and
 descriptions normalized first. Serializing then parsing a valid document
 is the identity up to normalization.
+
+The description schema is one table (`_METHOD` and the block entries it
+opens): per block, its keys in canonical order, each required, optional
+or repeated, with its value kind and the model field it fills. The
+parser, the serializer and the validator's check for `unspecified`
+values all walk it; it is the only place key order and optionality live.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ from .taxonomy import (
 DESCRIPTION_SUFFIX = ".nihd"
 CATALOG_SUFFIX = ".nihc"
 
+_METHOD_WORD = "method"
 _MAX_CATALOG_DEPTH = 64
 
 
@@ -172,42 +179,432 @@ def _lex(text: str, locate: Callable[[int], SourceLocation]) -> list[Token]:
 
 
 # ---------------------------------------------------------------------------
-# Parser
+# Description schema
 # ---------------------------------------------------------------------------
 
-_PRESENCE = {
-    "full": model.Presence.FULL,
-    "partial": model.Presence.PARTIAL,
-    "absent": model.Presence.ABSENT,
-}
-_PURPOSES = {p.value: p for p in model.Purpose}
-_RELATIONS = {r.value: r for r in model.Relation}
-_LOCATIONS = {v.value: v for v in model.Location}
-_TRISTATES = {v.value: v for v in model.Tristate}
-_SCENARIOS = {v.value: v for v in model.ChannelScenario}
-_FEATURES = {v.value: v for v in model.ControlFeature}
-_CM_KINDS = {v.value: v for v in model.CountermeasureKind}
-_APPLICABILITY = {v.value: v for v in model.Applicability}
-_WARDEN_STATES = {v.value: v for v in model.WardenState}
-_WARDEN_ACTIVITIES = {v.value: v for v in model.WardenActivity}
-_BOOLS = {"true": True, "false": False}
+class _Need(Enum):
+    REQUIRED = "required"
+    OPTIONAL = "optional"
+    REPEATED = "repeated"
 
-_METHOD_KEYS = {"source", "year", "general", "process", "countermeasures"}
-_GENERAL_KEYS = {"pattern", "application-scenario", "carrier-requirements"}
-_PATTERN_KEYS = {"path", "justify"}
-_SCENARIO_KEYS = {"status", "purpose", "shared-with", "text"}
-_CARRIER_KEYS = {"status", "binding", "condition", "shared-with", "text"}
-_PROCESS_KEYS = {"sender", "receiver", "channel", "control-protocol"}
-_SENDER_KEYS = {"relation", "location", "data-location", "generates-cover", "text"}
-_RECEIVER_KEYS = {"location", "text"}
-_CHANNEL_KEYS = {"scenario", "directness", "bandwidth", "undetectability",
-                 "robustness", "cost"}
-_METRIC_KEYS = {"status", "value", "ref", "shared-with", "text"}
-_CONTROL_KEYS = {"status", "feature", "text"}
-_COUNTERM_KEYS = {"entry", "warden"}
-_ENTRY_KEYS = {"type", "applicability", "evaluated", "limitations", "text"}
-_WARDEN_KEYS = {"placement", "state", "activity"}
 
+_REQUIRED, _OPTIONAL, _REPEATED = _Need
+
+
+class _Kind:
+    """A value kind: how a key's value is read after its introducer and
+    written back. The base form is one `key: value` line."""
+
+    word = "key"  # how E005 names a missing required one
+    unspecified: object = None  # the value written `unspecified`, if any
+
+    def take(self, p: _Parser, key: _Key, fields: dict, consumed: set[str]) -> Token | None:
+        """Consume the introducer if it is next; return the key's token."""
+        return p.take_key(key.name, consumed)
+
+    def parse(self, p: _Parser, key: _Key, fields: dict, tok: Token) -> object:
+        raise NotImplementedError
+
+    def text(self, value) -> str:
+        raise NotImplementedError
+
+    def emit(self, w: _Writer, key: _Key, value) -> None:
+        w.line(f"{key.name}: {self.text(value)}")
+
+    def collect(self, items: list) -> object:
+        """The field value of a repeated key's items, in file order."""
+        return tuple(items)
+
+    def members(self, value):
+        """A repeated key's items, in canonical order."""
+        return value
+
+
+class _Key:
+    __slots__ = ("name", "kind", "need", "field")
+
+    def __init__(self, name: str, kind: _Kind, need: _Need = _OPTIONAL,
+                 field: str | None = "") -> None:
+        self.name = name
+        self.kind = kind
+        self.need = need
+        # The model field it fills: by default the name in snake case. None
+        # spreads a block's fields into its parent's.
+        self.field = name.replace("-", "_") if field == "" else field
+
+
+class _String(_Kind):
+    def __init__(self, what: str | None = None) -> None:
+        self.what = what  # how E001 names the expected value, if not by the key
+
+    def parse(self, p, key, fields, tok):
+        return p.string_value(self.what or key.name)[0]
+
+    def text(self, value):
+        return _quote(value)
+
+
+class _Shared(_Kind):
+    """The non-empty label of a combined description."""
+
+    def parse(self, p, key, fields, tok):
+        label, label_tok = p.string_value(f"{key.name} label")
+        if not label:
+            p.fail("E004", f"{key.name} label must be non-empty", label_tok)
+        return model.SharedGroup(label)
+
+    def text(self, value):
+        return _quote(value.label)
+
+
+class _Year(_Kind):
+    def parse(self, p, key, fields, tok):
+        year, year_tok = p.int_value(key.name)
+        if not model.YEAR_MIN <= year <= model.YEAR_MAX:
+            p.fail("E004", f"year out of range {model.YEAR_MIN}-{model.YEAR_MAX}: {year}",
+                   year_tok)
+        return year
+
+    def text(self, value):
+        return str(value)
+
+
+class _Enum(_Kind):
+    """One token of a fixed vocabulary."""
+
+    def __init__(self, mapping: dict[str, object]) -> None:
+        self.mapping = mapping
+        self.names = {value: name for name, value in mapping.items()}
+        self.unspecified = mapping.get("unspecified")
+
+    def parse(self, p, key, fields, tok):
+        return p.enum_value(self.mapping, key.name)
+
+    def text(self, value):
+        return self.names[value]
+
+    def ordered(self, values) -> list:
+        """A set of vocabulary values in vocabulary order."""
+        return [value for value in self.names if value in values]
+
+
+def _enum(cls: type[Enum], kind: type[_Enum] = _Enum) -> _Enum:
+    return kind({member.value: member for member in cls})
+
+
+class _EnumList(_Enum):
+    """`key: [a, b]`: a non-empty set of vocabulary values."""
+
+    def parse(self, p, key, fields, tok):
+        p.expect(TokenKind.LBRACKET, "'['")
+        values = [p.enum_member(self.mapping, key.name, ())]
+        while p.cur.kind is TokenKind.COMMA:
+            p.advance()
+            values.append(p.enum_member(self.mapping, key.name, values))
+        p.expect(TokenKind.RBRACKET, "']'")
+        return frozenset(values)
+
+    def text(self, value):
+        return "[" + ", ".join(self.names[v] for v in self.ordered(value)) + "]"
+
+
+class _Features(_Enum):
+    """Repeated `key: token` lines forming a set; an absent control
+    protocol may list none."""
+
+    def take(self, p, key, fields, consumed):
+        if fields["presence"] is model.Presence.ABSENT and p.at_keyword(key.name):
+            p.fail("E001", "an absent control protocol cannot list features")
+        return super().take(p, key, fields, consumed)
+
+    def parse(self, p, key, fields, tok):
+        return p.enum_member(self.mapping, key.name, fields[key.field])
+
+    def collect(self, items):
+        return frozenset(items)
+
+    def members(self, value):
+        return self.ordered(value)
+
+
+class _Binding(_Kind):
+    """`generic`, `unspecified`, or a binding kind naming its protocols or
+    features in parentheses."""
+
+    kinds = {kind.value: kind for kind in model.BindingKind}
+    unspecified = model.CarrierBinding.unspecified()
+
+    def parse(self, p, key, fields, tok):
+        kind = p.enum_value(self.kinds, key.name)
+        if kind in (model.BindingKind.GENERIC, model.BindingKind.UNSPECIFIED):
+            return model.CarrierBinding(kind)
+        p.expect(TokenKind.LPAREN, "'('")
+        names = [p.string_value("name")[0]]
+        while p.cur.kind is TokenKind.COMMA:
+            p.advance()
+            names.append(p.string_value("name")[0])
+        close = p.cur
+        p.expect(TokenKind.RPAREN, "')'")
+        if kind is model.BindingKind.SINGLE_PROTOCOL and len(names) != 1:
+            p.fail("E005", f"{kind.value} takes exactly one protocol", close)
+        if kind is model.BindingKind.PROTOCOL_SET and len(names) < 2:
+            p.fail("E005", f"{kind.value} requires at least two protocols", close)
+        return model.CarrierBinding(kind, tuple(names))
+
+    def text(self, value):
+        if not value.names:
+            return value.kind.value
+        return f"{value.kind.value}({', '.join(_quote(n) for n in value.names)})"
+
+    def emit(self, w, key, value):
+        if value != self.unspecified:  # the default goes unwritten
+            super().emit(w, key, value)
+
+
+class _Directness(_Kind):
+    """`direct`, `unspecified`, or `indirect("intermediary requirements")`."""
+
+    kinds = {kind.value: kind for kind in model.DirectnessKind}
+    unspecified = model.Directness.unspecified()
+
+    def parse(self, p, key, fields, tok):
+        kind = p.enum_value(self.kinds, key.name)
+        if kind is not model.DirectnessKind.INDIRECT:
+            return model.Directness(kind)
+        p.expect(TokenKind.LPAREN, "'('")
+        requirements, _ = p.string_value("intermediary requirements")
+        p.expect(TokenKind.RPAREN, "')'")
+        return model.Directness(kind, requirements)
+
+    def text(self, value):
+        if value.kind is model.DirectnessKind.INDIRECT:
+            return f"{value.kind.value}({_quote(value.requirements)})"
+        return value.kind.value
+
+
+class _Path(_Kind):
+    """`unassigned`, or a quoted pattern path."""
+
+    def parse(self, p, key, fields, tok):
+        if p.at_keyword(UNASSIGNED.text):
+            p.advance()
+            return UNASSIGNED
+        text, text_tok = p.string_value("pattern path")
+        try:
+            return PatternPath.from_text(text)
+        except InvalidNameError as exc:
+            p.fail("E004", f"malformed pattern path: {exc}", text_tok)
+
+    def text(self, value):
+        return value.text if value.unassigned else _quote(value.text)
+
+
+class _Justify(_Kind):
+    """`key "element": "rationale"` for an element on the parsed path; no
+    colon follows the key."""
+
+    def take(self, p, key, fields, consumed):
+        return p.advance() if p.at_keyword(key.name) else None
+
+    def parse(self, p, key, fields, tok):
+        element, element_tok = p.string_value("path element")
+        path = fields["path"]
+        if not path.unassigned and element not in path.elements:
+            p.fail("E004", f"{key.name} names {element!r}, which is not on the path",
+                   element_tok)
+        p.expect(TokenKind.COLON, "':'")
+        rationale, _ = p.string_value("justification")
+        return model.Justification(element, rationale)
+
+    def emit(self, w, key, value):
+        w.line(f"{key.name} {_quote(value.element)}: {_quote(value.rationale)}")
+
+
+class _Ref(_Enum):
+    """`ref: countermeasures`, allowed on the undetectability metric only."""
+
+    def __init__(self, allowed: bool) -> None:
+        super().__init__({"countermeasures": True})
+        self.allowed = allowed
+
+    def parse(self, p, key, fields, tok):
+        value = super().parse(p, key, fields, tok)
+        if not self.allowed:
+            p.fail("E005", "ref: countermeasures is only allowed on the undetectability "
+                           "metric", tok)
+        return value
+
+    def emit(self, w, key, value):
+        if value:
+            super().emit(w, key, value)
+
+
+class _Block(_Kind):
+    """`key { ... }` holding keys in canonical order. ``make`` builds the
+    model value from the fields; without it they join the parent's."""
+
+    word = "block"
+
+    def __init__(self, make: Callable | None, *keys: _Key) -> None:
+        self.make = make
+        self.keys = keys
+        self.known = {key.name for key in keys}
+
+    def take(self, p, key, fields, consumed):
+        # A repeated block is not recorded: one that follows a later key is
+        # out of order, not a duplicate.
+        return p.take_block(key.name, set() if key.need is _REPEATED else consumed)
+
+    def parse(self, p, key, fields, tok):
+        block_fields = p.parse_block(self)
+        return block_fields if self.make is None else self.make(**block_fields)
+
+    def emit(self, w, key, value):
+        w.open(key.name)
+        _emit_block(w, self, value)
+        w.close()
+
+
+# The description grammar: one entry per block, its keys in canonical order.
+
+_TEXT = _Key("text", _String())
+_STATUS = _Key("status", _Enum({p.name.lower(): p for p in model.Presence}), _REQUIRED,
+               field="presence")
+_SHARED = _Key("shared-with", _Shared(), field="shared")
+_LOCATIONS = _enum(model.Location)
+_LOCATION = _Key("location", _LOCATIONS, _REQUIRED)
+
+
+def _metric(refs_allowed: bool) -> _Block:
+    return _Block(
+        model.ChannelCharacteristic,
+        _STATUS,
+        _Key("value", _String()),
+        _Key("ref", _Ref(refs_allowed), field="refers_to_countermeasures"),
+        _SHARED,
+        _TEXT,
+    )
+
+
+_PATTERN = _Block(
+    model.PatternAssignment,
+    _Key("path", _Path(), _REQUIRED),
+    _Key("justify", _Justify(), _REPEATED, field="justifications"),
+)
+_SCENARIO = _Block(
+    model.ApplicationScenario,
+    _STATUS,
+    _Key("purpose", _enum(model.Purpose)),
+    _SHARED,
+    _TEXT,
+)
+_CARRIER = _Block(
+    model.CarrierRequirements,
+    _STATUS,
+    _Key("binding", _Binding()),
+    _Key("condition", _String(), _REPEATED, field="conditions"),
+    _SHARED,
+    _TEXT,
+)
+_GENERAL = _Block(
+    None,
+    _Key("pattern", _PATTERN, _REQUIRED),
+    _Key("application-scenario", _SCENARIO, field="scenario"),
+    _Key("carrier-requirements", _CARRIER, _REQUIRED, field="carrier"),
+)
+_SENDER = _Block(
+    model.SenderProcess,
+    _Key("relation", _enum(model.Relation), _REQUIRED),
+    _LOCATION,
+    _Key("data-location", _LOCATIONS, _REQUIRED),
+    _Key("generates-cover", _enum(model.Tristate), _REQUIRED),
+    _TEXT,
+)
+_RECEIVER = _Block(model.ReceiverProcess, _LOCATION, _TEXT)
+_METRIC = _metric(refs_allowed=False)
+_CHANNEL = _Block(
+    model.ChannelProperties,
+    _Key("scenario", _enum(model.ChannelScenario, _EnumList), _REQUIRED, field="scenarios"),
+    _Key("directness", _Directness(), _REQUIRED),
+    _Key("bandwidth", _METRIC, _REQUIRED),
+    _Key("undetectability", _metric(refs_allowed=True), _REQUIRED),
+    _Key("robustness", _METRIC, _REQUIRED),
+    _Key("cost", _METRIC, _REQUIRED),
+)
+_CONTROL = _Block(
+    model.ControlProtocol,
+    _STATUS,
+    _Key("feature", _enum(model.ControlFeature, _Features), _REPEATED, field="features"),
+    _TEXT,
+)
+_PROCESS = _Block(
+    None,
+    _Key("sender", _SENDER, _REQUIRED),
+    _Key("receiver", _RECEIVER, _REQUIRED),
+    _Key("channel", _CHANNEL, _REQUIRED),
+    _Key("control-protocol", _CONTROL),
+)
+_ENTRY = _Block(
+    model.CountermeasureEntry,
+    _Key("type", _enum(model.CountermeasureKind), _REQUIRED, field="kind"),
+    _Key("applicability", _enum(model.Applicability), _REQUIRED),
+    _Key("evaluated", _Enum({"true": True, "false": False}), _REQUIRED),
+    _Key("limitations", _String()),
+    _TEXT,
+)
+_WARDEN = _Block(
+    model.WardenProfile,
+    _Key("placement", _LOCATIONS, _REQUIRED),
+    _Key("state", _enum(model.WardenState), _REQUIRED),
+    _Key("activity", _enum(model.WardenActivity), _REQUIRED),
+)
+_COUNTERMEASURES = _Block(
+    None,
+    _Key("entry", _ENTRY, _REPEATED, field="countermeasures"),
+    _Key("warden", _WARDEN),
+)
+# The body of `method "name" { ... }`; parse_method adds name and location.
+_METHOD = _Block(
+    model.MethodDescription,
+    _Key("source", _String("source key")),
+    _Key("year", _Year()),
+    _Key("general", _GENERAL, _REQUIRED, field=None),
+    _Key("process", _PROCESS, _REQUIRED, field=None),
+    _Key("countermeasures", _COUNTERMEASURES, _REQUIRED, field=None),
+)
+
+
+def _unspecifiable(block: _Block, name: str, path: tuple[str, ...]):
+    for key in block.keys:
+        at = path if key.field is None else path + (key.field,)
+        if isinstance(key.kind, _Block):
+            if key.need is not _REPEATED:
+                yield from _unspecifiable(key.kind, key.name, at)
+        elif key.kind.unspecified is not None:
+            yield f"{name}.{key.name}", at, key.kind.unspecified
+
+
+# (`block.key`, model field path, the value written `unspecified`) for each
+# key whose vocabulary has that token, in table order. Repeated blocks
+# (countermeasure entries) have no such key.
+_UNSPECIFIABLE = tuple(_unspecifiable(_METHOD, _METHOD_WORD, ()))
+
+
+def _unspecified_keys(m: model.MethodDescription) -> list[str]:
+    """`block.key` for each field of ``m`` written as `unspecified`."""
+    found = []
+    for label, path, unspecified in _UNSPECIFIABLE:
+        value = m
+        for name in path:
+            value = getattr(value, name, None)  # None past a missing block
+        if value == unspecified:
+            found.append(label)
+    return found
+
+
+# ---------------------------------------------------------------------------
+# Parser
+# ---------------------------------------------------------------------------
 
 class _Parser:
     def __init__(self, text: str, file_name: str) -> None:
@@ -270,37 +667,52 @@ class _Parser:
             self.fail("E005", f"missing required {missing}")
         self.fail("E001", f"unexpected token {tok.describe()}")
 
-    def take_key(self, key: str, consumed: set[str]) -> bool:
+    def take_key(self, key: str, consumed: set[str]) -> Token | None:
         """Consume an optional ``key:`` introducer if it is next."""
         if self.at_keyword(key):
-            self.advance()
+            tok = self.advance()
             self.expect(TokenKind.COLON, "':'")
             consumed.add(key)
-            return True
-        return False
+            return tok
+        return None
 
-    def require_key(self, key: str, known: set[str], consumed: set[str]) -> None:
-        if not self.take_key(key, consumed):
-            self._surprise(known, consumed, f"key {key!r}")
-
-    def take_block(self, name: str, consumed: set[str]) -> bool:
+    def take_block(self, name: str, consumed: set[str]) -> Token | None:
         """Consume an optional ``name {`` block opener if it is next."""
         if self.at_keyword(name):
-            self.advance()
+            tok = self.advance()
             self.expect(TokenKind.LBRACE, "'{'")
             consumed.add(name)
-            return True
-        return False
-
-    def require_block(self, name: str, known: set[str], consumed: set[str]) -> None:
-        if not self.take_block(name, consumed):
-            self._surprise(known, consumed, f"block {name!r}")
+            return tok
+        return None
 
     def end_block(self, known: set[str], consumed: set[str]) -> None:
         if self.cur.kind is TokenKind.RBRACE:
             self.advance()
             return
         self._surprise(known, consumed, None)
+
+    def parse_block(self, block: _Block) -> dict[str, object]:
+        """A block's keys in table order, through its closing brace, as
+        model fields; a key the file leaves out keeps the model default."""
+        consumed: set[str] = set()
+        fields: dict[str, object] = {}
+        for key in block.keys:
+            kind = key.kind
+            if key.need is _REPEATED:
+                items = fields[key.field] = []
+                while tok := kind.take(self, key, fields, consumed):
+                    items.append(kind.parse(self, key, fields, tok))
+                fields[key.field] = kind.collect(items)
+            elif tok := kind.take(self, key, fields, consumed):
+                value = kind.parse(self, key, fields, tok)
+                if key.field is None:
+                    fields.update(value)
+                else:
+                    fields[key.field] = value
+            elif key.need is _REQUIRED:
+                self._surprise(block.known, consumed, f"{kind.word} {key.name!r}")
+        self.end_block(block.known, consumed)
+        return fields
 
     # -- scalar values ------------------------------------------------------
 
@@ -323,25 +735,13 @@ class _Parser:
             return mapping[tok.text]
         self.fail("E004", f"unknown enumeration token {tok.describe()} for {what}")
 
-    def presence_key(self, known: set[str], consumed: set[str]) -> model.Presence:
-        self.require_key("status", known, consumed)
-        return self.enum_value(_PRESENCE, "status")
-
-    # -- shared fragments ---------------------------------------------------
-
-    def opt_shared(self, consumed: set[str]) -> model.SharedGroup | None:
-        if self.take_key("shared-with", consumed):
-            label, tok = self.string_value("shared-with label")
-            if not label:
-                self.fail("E004", "shared-with label must be non-empty", tok)
-            return model.SharedGroup(label)
-        return None
-
-    def opt_text(self, consumed: set[str]) -> str | None:
-        if self.take_key("text", consumed):
-            text, _ = self.string_value("text")
-            return text
-        return None
+    def enum_member(self, mapping: dict, what: str, seen):
+        """An enumeration value that is not in ``seen`` yet."""
+        tok = self.cur
+        value = self.enum_value(mapping, what)
+        if value in seen:
+            self.fail("E003", f"duplicate {what} {tok.text!r}", tok)
+        return value
 
     # -- description grammar ------------------------------------------------
 
@@ -349,8 +749,8 @@ class _Parser:
         self._skip_version_header()
         methods = []
         while self.cur.kind is not TokenKind.EOF:
-            if not self.at_keyword("method"):
-                self.fail("E001", f"expected 'method', found {self.cur.describe()}")
+            if not self.at_keyword(_METHOD_WORD):
+                self.fail("E001", f"expected {_METHOD_WORD!r}, found {self.cur.describe()}")
             methods.append(self.parse_method())
         return Document(methods=tuple(methods), source_file=self.file)
 
@@ -360,333 +760,21 @@ class _Parser:
             self.int_value("version number")
 
     def parse_method(self) -> model.MethodDescription:
-        start = self.cur
-        self.advance()  # 'method'
+        start = self.advance()  # 'method'
         name, name_tok = self.string_value("method name")
         if not name:
             self.fail("E004", "method name must be non-empty", name_tok)
         self.expect(TokenKind.LBRACE, "'{'")
-        consumed: set[str] = set()
-        source = None
-        year = None
-        if self.take_key("source", consumed):
-            source, _ = self.string_value("source key")
-        if self.take_key("year", consumed):
-            year, year_tok = self.int_value("year")
-            if not model.YEAR_MIN <= year <= model.YEAR_MAX:
-                self.fail(
-                    "E004",
-                    f"year out of range {model.YEAR_MIN}-{model.YEAR_MAX}: {year}",
-                    year_tok,
-                )
-        self.require_block("general", _METHOD_KEYS, consumed)
-        pattern, scenario, carrier = self.parse_general()
-        self.require_block("process", _METHOD_KEYS, consumed)
-        sender, receiver, channel, control = self.parse_process()
-        self.require_block("countermeasures", _METHOD_KEYS, consumed)
-        entries, warden = self.parse_countermeasures()
-        self.end_block(_METHOD_KEYS, consumed)
+        fields = self.parse_block(_METHOD)
         try:
-            return model.MethodDescription(
-                name=name,
-                source=source,
-                year=year,
-                pattern=pattern,
-                scenario=scenario,
-                carrier=carrier,
-                sender=sender,
-                receiver=receiver,
-                channel=channel,
-                control_protocol=control,
-                countermeasures=entries,
-                warden=warden,
-                location=self.loc(start),
-            )
+            return _METHOD.make(name=name, location=self.loc(start), **fields)
         except ValueError as exc:
             # Structural checks above should make this unreachable; keep
             # the parser total regardless.
             self.fail("E001", str(exc), start)
             raise AssertionError  # pragma: no cover
 
-    def parse_general(self):
-        consumed: set[str] = set()
-        self.require_block("pattern", _GENERAL_KEYS, consumed)
-        pattern = self.parse_pattern()
-        scenario = None
-        if self.take_block("application-scenario", consumed):
-            scenario = self.parse_scenario()
-        self.require_block("carrier-requirements", _GENERAL_KEYS, consumed)
-        carrier = self.parse_carrier()
-        self.end_block(_GENERAL_KEYS, consumed)
-        return pattern, scenario, carrier
-
-    def parse_pattern(self) -> model.PatternAssignment:
-        consumed: set[str] = set()
-        self.require_key("path", _PATTERN_KEYS, consumed)
-        if self.at_keyword("unassigned"):
-            self.advance()
-            path = UNASSIGNED
-        else:
-            text, tok = self.string_value("pattern path")
-            try:
-                path = PatternPath.from_text(text)
-            except InvalidNameError as exc:
-                self.fail("E004", f"malformed pattern path: {exc}", tok)
-        justifications = []
-        while self.at_keyword("justify"):
-            self.advance()
-            element, element_tok = self.string_value("path element")
-            if not path.unassigned and element not in path.elements:
-                self.fail(
-                    "E004",
-                    f"justify names {element!r}, which is not on the path",
-                    element_tok,
-                )
-            self.expect(TokenKind.COLON, "':'")
-            rationale, _ = self.string_value("justification")
-            justifications.append(model.Justification(element, rationale))
-        self.end_block(_PATTERN_KEYS, consumed)
-        return model.PatternAssignment(path=path, justifications=tuple(justifications))
-
-    def parse_scenario(self) -> model.ApplicationScenario:
-        consumed: set[str] = set()
-        presence = self.presence_key(_SCENARIO_KEYS, consumed)
-        purpose = None
-        if self.take_key("purpose", consumed):
-            purpose = self.enum_value(_PURPOSES, "purpose")
-        shared = self.opt_shared(consumed)
-        text = self.opt_text(consumed)
-        self.end_block(_SCENARIO_KEYS, consumed)
-        return model.ApplicationScenario(presence, purpose, shared, text)
-
-    def parse_carrier(self) -> model.CarrierRequirements:
-        consumed: set[str] = set()
-        presence = self.presence_key(_CARRIER_KEYS, consumed)
-        binding = model.CarrierBinding.unspecified()
-        if self.take_key("binding", consumed):
-            binding = self.parse_binding()
-        conditions = []
-        while self.at_keyword("condition"):
-            self.advance()
-            self.expect(TokenKind.COLON, "':'")
-            consumed.add("condition")
-            value, _ = self.string_value("condition")
-            conditions.append(value)
-        shared = self.opt_shared(consumed)
-        text = self.opt_text(consumed)
-        self.end_block(_CARRIER_KEYS, consumed)
-        return model.CarrierRequirements(
-            presence, binding, tuple(conditions), shared, text
-        )
-
-    def parse_binding(self) -> model.CarrierBinding:
-        tok = self.cur
-        if tok.kind is not TokenKind.KEYWORD:
-            self.fail("E004", f"unknown enumeration token {tok.describe()} for binding")
-        word = tok.text
-        if word == "generic":
-            self.advance()
-            return model.CarrierBinding.generic()
-        if word == "unspecified":
-            self.advance()
-            return model.CarrierBinding.unspecified()
-        if word not in ("single-protocol", "protocol-set", "feature-based"):
-            self.fail("E004", f"unknown enumeration token {word!r} for binding")
-        self.advance()
-        self.expect(TokenKind.LPAREN, "'('")
-        names = [self.string_value("name")[0]]
-        while self.cur.kind is TokenKind.COMMA:
-            self.advance()
-            names.append(self.string_value("name")[0])
-        close = self.cur
-        self.expect(TokenKind.RPAREN, "')'")
-        if word == "single-protocol":
-            if len(names) != 1:
-                self.fail("E005", "single-protocol takes exactly one protocol", close)
-            return model.CarrierBinding.single(names[0])
-        if word == "protocol-set":
-            if len(names) < 2:
-                self.fail("E005", "protocol-set requires at least two protocols", close)
-            return model.CarrierBinding.protocol_set(*names)
-        return model.CarrierBinding.feature_based(*names)
-
-    def parse_process(self):
-        consumed: set[str] = set()
-        self.require_block("sender", _PROCESS_KEYS, consumed)
-        sender = self.parse_sender()
-        self.require_block("receiver", _PROCESS_KEYS, consumed)
-        receiver = self.parse_receiver()
-        self.require_block("channel", _PROCESS_KEYS, consumed)
-        channel = self.parse_channel()
-        control = None
-        if self.take_block("control-protocol", consumed):
-            control = self.parse_control()
-        self.end_block(_PROCESS_KEYS, consumed)
-        return sender, receiver, channel, control
-
-    def parse_sender(self) -> model.SenderProcess:
-        consumed: set[str] = set()
-        self.require_key("relation", _SENDER_KEYS, consumed)
-        relation = self.enum_value(_RELATIONS, "relation")
-        self.require_key("location", _SENDER_KEYS, consumed)
-        location = self.enum_value(_LOCATIONS, "location")
-        self.require_key("data-location", _SENDER_KEYS, consumed)
-        data_location = self.enum_value(_LOCATIONS, "data-location")
-        self.require_key("generates-cover", _SENDER_KEYS, consumed)
-        generates = self.enum_value(_TRISTATES, "generates-cover")
-        text = self.opt_text(consumed)
-        self.end_block(_SENDER_KEYS, consumed)
-        return model.SenderProcess(relation, location, data_location, generates, text)
-
-    def parse_receiver(self) -> model.ReceiverProcess:
-        consumed: set[str] = set()
-        self.require_key("location", _RECEIVER_KEYS, consumed)
-        location = self.enum_value(_LOCATIONS, "location")
-        text = self.opt_text(consumed)
-        self.end_block(_RECEIVER_KEYS, consumed)
-        return model.ReceiverProcess(location, text)
-
-    def parse_channel(self) -> model.ChannelProperties:
-        consumed: set[str] = set()
-        self.require_key("scenario", _CHANNEL_KEYS, consumed)
-        self.expect(TokenKind.LBRACKET, "'['")
-        scenarios: set[model.ChannelScenario] = set()
-        while True:
-            tok = self.cur
-            scenario = self.enum_value(_SCENARIOS, "scenario")
-            if scenario in scenarios:
-                self.fail("E003", f"duplicate scenario {tok.text!r}", tok)
-            scenarios.add(scenario)
-            if self.cur.kind is TokenKind.COMMA:
-                self.advance()
-                continue
-            break
-        self.expect(TokenKind.RBRACKET, "']'")
-        self.require_key("directness", _CHANNEL_KEYS, consumed)
-        directness = self.parse_directness()
-        metrics = {}
-        for name in ("bandwidth", "undetectability", "robustness", "cost"):
-            self.require_block(name, _CHANNEL_KEYS, consumed)
-            metrics[name] = self.parse_metric(name)
-        self.end_block(_CHANNEL_KEYS, consumed)
-        return model.ChannelProperties(
-            scenarios=frozenset(scenarios),
-            directness=directness,
-            bandwidth=metrics["bandwidth"],
-            undetectability=metrics["undetectability"],
-            robustness=metrics["robustness"],
-            cost=metrics["cost"],
-        )
-
-    def parse_directness(self) -> model.Directness:
-        tok = self.cur
-        if tok.kind is not TokenKind.KEYWORD or tok.text not in (
-            "direct", "indirect", "unspecified",
-        ):
-            self.fail("E004", f"unknown enumeration token {tok.describe()} for directness")
-        self.advance()
-        if tok.text == "direct":
-            return model.Directness.direct()
-        if tok.text == "unspecified":
-            return model.Directness.unspecified()
-        self.expect(TokenKind.LPAREN, "'('")
-        requirements, _ = self.string_value("intermediary requirements")
-        self.expect(TokenKind.RPAREN, "')'")
-        return model.Directness.indirect(requirements)
-
-    def parse_metric(self, name: str) -> model.ChannelCharacteristic:
-        consumed: set[str] = set()
-        presence = self.presence_key(_METRIC_KEYS, consumed)
-        value = None
-        if self.take_key("value", consumed):
-            value, _ = self.string_value("value")
-        refers = False
-        if self.at_keyword("ref"):
-            ref_tok = self.cur
-            self.advance()
-            self.expect(TokenKind.COLON, "':'")
-            consumed.add("ref")
-            if not self.at_keyword("countermeasures"):
-                self.fail("E004",
-                          f"unknown enumeration token {self.cur.describe()} for ref")
-            self.advance()
-            if name != "undetectability":
-                self.fail(
-                    "E005",
-                    "ref: countermeasures is only allowed on the undetectability metric",
-                    ref_tok,
-                )
-            refers = True
-        shared = self.opt_shared(consumed)
-        text = self.opt_text(consumed)
-        self.end_block(_METRIC_KEYS, consumed)
-        return model.ChannelCharacteristic(presence, value, refers, shared, text)
-
-    def parse_control(self) -> model.ControlProtocol:
-        consumed: set[str] = set()
-        presence = self.presence_key(_CONTROL_KEYS, consumed)
-        features: set[model.ControlFeature] = set()
-        while self.at_keyword("feature"):
-            feature_tok = self.cur
-            if presence is model.Presence.ABSENT:
-                self.fail(
-                    "E001",
-                    "an absent control protocol cannot list features",
-                    feature_tok,
-                )
-            self.advance()
-            self.expect(TokenKind.COLON, "':'")
-            consumed.add("feature")
-            tok = self.cur
-            feature = self.enum_value(_FEATURES, "feature")
-            if feature in features:
-                self.fail("E003", f"duplicate feature {tok.text!r}", tok)
-            features.add(feature)
-        text = self.opt_text(consumed)
-        self.end_block(_CONTROL_KEYS, consumed)
-        return model.ControlProtocol(presence, frozenset(features), text)
-
-    def parse_countermeasures(self):
-        consumed: set[str] = set()
-        entries = []
-        while self.at_keyword("entry"):
-            self.advance()
-            self.expect(TokenKind.LBRACE, "'{'")
-            entries.append(self.parse_entry())
-        warden = None
-        if self.take_block("warden", consumed):
-            warden = self.parse_warden()
-        self.end_block(_COUNTERM_KEYS, consumed)
-        return tuple(entries), warden
-
-    def parse_entry(self) -> model.CountermeasureEntry:
-        consumed: set[str] = set()
-        self.require_key("type", _ENTRY_KEYS, consumed)
-        kind = self.enum_value(_CM_KINDS, "type")
-        self.require_key("applicability", _ENTRY_KEYS, consumed)
-        applicability = self.enum_value(_APPLICABILITY, "applicability")
-        self.require_key("evaluated", _ENTRY_KEYS, consumed)
-        evaluated = self.enum_value(_BOOLS, "evaluated")
-        limitations = None
-        if self.take_key("limitations", consumed):
-            limitations, _ = self.string_value("limitations")
-        text = self.opt_text(consumed)
-        self.end_block(_ENTRY_KEYS, consumed)
-        return model.CountermeasureEntry(kind, applicability, evaluated, limitations, text)
-
-    def parse_warden(self) -> model.WardenProfile:
-        consumed: set[str] = set()
-        self.require_key("placement", _WARDEN_KEYS, consumed)
-        placement = self.enum_value(_LOCATIONS, "placement")
-        self.require_key("state", _WARDEN_KEYS, consumed)
-        state = self.enum_value(_WARDEN_STATES, "state")
-        self.require_key("activity", _WARDEN_KEYS, consumed)
-        activity = self.enum_value(_WARDEN_ACTIVITIES, "activity")
-        self.end_block(_WARDEN_KEYS, consumed)
-        return model.WardenProfile(placement, state, activity)
-
     # -- catalog grammar ----------------------------------------------------
-
     def parse_catalog_file(self) -> PatternCatalog:
         self._skip_version_header()
         if not self.at_keyword("catalog"):
@@ -769,125 +857,17 @@ class _Writer:
         self.depth -= 1
         self.line("}")
 
-
-def _emit_metric(w: _Writer, name: str, metric: model.ChannelCharacteristic | None) -> None:
-    if metric is None:
-        raise ValueError(f"cannot serialize: metric block {name!r} is missing")
-    w.open(name)
-    w.line(f"status: {metric.presence.name.lower()}")
-    if metric.value is not None:
-        w.line(f"value: {_quote(metric.value)}")
-    if metric.refers_to_countermeasures:
-        w.line("ref: countermeasures")
-    if metric.shared is not None:
-        w.line(f"shared-with: {_quote(metric.shared.label)}")
-    if metric.text is not None:
-        w.line(f"text: {_quote(metric.text)}")
-    w.close()
-
-
-def _emit_method(w: _Writer, m: model.MethodDescription) -> None:
-    w.open(f"method {_quote(m.name)}")
-    if m.source is not None:
-        w.line(f"source: {_quote(m.source)}")
-    if m.year is not None:
-        w.line(f"year: {m.year}")
-
-    w.open("general")
-    w.open("pattern")
-    if m.pattern.path.unassigned:
-        w.line("path: unassigned")
-    else:
-        w.line(f"path: {_quote(m.pattern.path.text)}")
-    for j in m.pattern.justifications:
-        w.line(f"justify {_quote(j.element)}: {_quote(j.rationale)}")
-    w.close()
-    if m.scenario is not None:
-        w.open("application-scenario")
-        w.line(f"status: {m.scenario.presence.name.lower()}")
-        if m.scenario.purpose is not None:
-            w.line(f"purpose: {m.scenario.purpose.value}")
-        if m.scenario.shared is not None:
-            w.line(f"shared-with: {_quote(m.scenario.shared.label)}")
-        if m.scenario.text is not None:
-            w.line(f"text: {_quote(m.scenario.text)}")
-        w.close()
-    w.open("carrier-requirements")
-    w.line(f"status: {m.carrier.presence.name.lower()}")
-    binding = m.carrier.binding
-    if binding.kind is not model.BindingKind.UNSPECIFIED:
-        if binding.kind is model.BindingKind.GENERIC:
-            w.line("binding: generic")
-        else:
-            names = ", ".join(_quote(n) for n in binding.names)
-            w.line(f"binding: {binding.kind.value}({names})")
-    for condition in m.carrier.conditions:
-        w.line(f"condition: {_quote(condition)}")
-    if m.carrier.shared is not None:
-        w.line(f"shared-with: {_quote(m.carrier.shared.label)}")
-    if m.carrier.text is not None:
-        w.line(f"text: {_quote(m.carrier.text)}")
-    w.close()
-    w.close()  # general
-
-    w.open("process")
-    w.open("sender")
-    w.line(f"relation: {m.sender.relation.value}")
-    w.line(f"location: {m.sender.location.value}")
-    w.line(f"data-location: {m.sender.data_location.value}")
-    w.line(f"generates-cover: {m.sender.generates_cover.value}")
-    if m.sender.text is not None:
-        w.line(f"text: {_quote(m.sender.text)}")
-    w.close()
-    w.open("receiver")
-    w.line(f"location: {m.receiver.location.value}")
-    if m.receiver.text is not None:
-        w.line(f"text: {_quote(m.receiver.text)}")
-    w.close()
-    w.open("channel")
-    names = [s.value for s in model.ChannelScenario if s in m.channel.scenarios]
-    w.line(f"scenario: [{', '.join(names)}]")
-    directness = m.channel.directness
-    if directness.kind is model.DirectnessKind.INDIRECT:
-        w.line(f"directness: indirect({_quote(directness.requirements)})")
-    else:
-        w.line(f"directness: {directness.kind.value}")
-    _emit_metric(w, "bandwidth", m.channel.bandwidth)
-    _emit_metric(w, "undetectability", m.channel.undetectability)
-    _emit_metric(w, "robustness", m.channel.robustness)
-    _emit_metric(w, "cost", m.channel.cost)
-    w.close()
-    if m.control_protocol is not None:
-        w.open("control-protocol")
-        w.line(f"status: {m.control_protocol.presence.name.lower()}")
-        for feature in model.ControlFeature:
-            if feature in m.control_protocol.features:
-                w.line(f"feature: {feature.value}")
-        if m.control_protocol.text is not None:
-            w.line(f"text: {_quote(m.control_protocol.text)}")
-        w.close()
-    w.close()  # process
-
-    w.open("countermeasures")
-    for entry in m.countermeasures:
-        w.open("entry")
-        w.line(f"type: {entry.kind.value}")
-        w.line(f"applicability: {entry.applicability.value}")
-        w.line(f"evaluated: {'true' if entry.evaluated else 'false'}")
-        if entry.limitations is not None:
-            w.line(f"limitations: {_quote(entry.limitations)}")
-        if entry.text is not None:
-            w.line(f"text: {_quote(entry.text)}")
-        w.close()
-    if m.warden is not None:
-        w.open("warden")
-        w.line(f"placement: {m.warden.placement.value}")
-        w.line(f"state: {m.warden.state.value}")
-        w.line(f"activity: {m.warden.activity.value}")
-        w.close()
-    w.close()  # countermeasures
-
-    w.close()  # method
+def _emit_block(w: _Writer, block: _Block, obj) -> None:
+    for key in block.keys:
+        kind = key.kind
+        value = obj if key.field is None else getattr(obj, key.field)
+        if key.need is _REPEATED:
+            for item in kind.members(value):
+                kind.emit(w, key, item)
+        elif value is not None:
+            kind.emit(w, key, value)
+        elif key.need is _REQUIRED:
+            raise ValueError(f"cannot serialize: {kind.word} {key.name!r} is missing")
 
 
 def serialize(doc: Document) -> str:
@@ -898,7 +878,10 @@ def serialize(doc: Document) -> str:
     for i, method in enumerate(doc.methods):
         if i:
             w.line("")
-        _emit_method(w, model.normalize(method))
+        method = model.normalize(method)
+        w.open(f"{_METHOD_WORD} {_quote(method.name)}")
+        _emit_block(w, _METHOD, method)
+        w.close()
     return "\n".join(w.lines) + "\n"
 
 

@@ -34,35 +34,13 @@ from enum import Enum
 
 from . import model
 from .diagnostics import Diagnostic, sort_key
-from .dsl import Document
+from .dsl import Document, _unspecified_keys
 from .taxonomy import PatternCatalog, ResolutionKind, resolve_path
 
 
 class ValidationMode(Enum):
     SURVEY = "survey"
     STRICT = "strict"
-
-
-_UNSPECIFIED_FIELDS = (
-    ("carrier-requirements.binding",
-     lambda d: d.carrier.binding.kind is model.BindingKind.UNSPECIFIED),
-    ("sender.relation", lambda d: d.sender.relation is model.Relation.UNSPECIFIED),
-    ("sender.location", lambda d: d.sender.location is model.Location.UNSPECIFIED),
-    ("sender.data-location",
-     lambda d: d.sender.data_location is model.Location.UNSPECIFIED),
-    ("sender.generates-cover",
-     lambda d: d.sender.generates_cover is model.Tristate.UNSPECIFIED),
-    ("receiver.location", lambda d: d.receiver.location is model.Location.UNSPECIFIED),
-    ("channel.directness",
-     lambda d: d.channel.directness.kind is model.DirectnessKind.UNSPECIFIED),
-    ("warden.placement",
-     lambda d: d.warden is not None and d.warden.placement is model.Location.UNSPECIFIED),
-    ("warden.state",
-     lambda d: d.warden is not None and d.warden.state is model.WardenState.UNSPECIFIED),
-    ("warden.activity",
-     lambda d: d.warden is not None
-     and d.warden.activity is model.WardenActivity.UNSPECIFIED),
-)
 
 
 def validate(
@@ -149,9 +127,8 @@ def validate(
         report("W203", "undetectability is absent and no detection entry covers it")
 
     unspecified_code = "E210" if mode is ValidationMode.STRICT else "W210"
-    for field_name, is_unspecified in _UNSPECIFIED_FIELDS:
-        if is_unspecified(d):
-            report(unspecified_code, f"{field_name} is unspecified")
+    for field_name in _unspecified_keys(d):
+        report(unspecified_code, f"{field_name} is unspecified")
 
     bandwidth = d.channel.bandwidth
     robustness = d.channel.robustness
