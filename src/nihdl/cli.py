@@ -65,15 +65,19 @@ def _catalog_path(args) -> str | None:
     return args.catalog or os.environ.get("NIHDL_CATALOG")
 
 
-def _load_catalog(path: str):
-    """Parse a catalog file; unreadable files are usage/I-O failures."""
-    catalog, diags = store.read_catalog_file(path)
+def _checked_catalog(path, catalog, diags):
+    """``catalog``, or None after printing why it did not parse; an
+    unreadable file (E007) is a usage/I-O failure."""
     if catalog is None:
         if any(d.code == "E007" for d in diags):
             raise _UsageError(f"cannot read catalog file {path}")
         _print_diagnostics(diags)
-        return None
     return catalog
+
+
+def _load_catalog(path: str):
+    """Parse a catalog file; unreadable files are usage/I-O failures."""
+    return _checked_catalog(path, *store.read_catalog_file(path))
 
 
 # ---------------------------------------------------------------------------
@@ -296,13 +300,13 @@ def _csv_text(tables: list[list[list[str]]]) -> str:
 def cmd_stats(args) -> int:
     try:
         corpus = store.open_corpus(args.corpus)
-        catalog, catalog_diags = store.load_catalog(corpus)
+        catalog = _checked_catalog(corpus.catalog_file, *store.load_catalog(corpus))
     except store.StoreError as exc:
         raise _UsageError(str(exc)) from None
     if catalog is None:
-        _print_diagnostics(catalog_diags)
         return EXIT_DIAGNOSTICS
     documents, diags = store.load_all(corpus)
+    io_failure = any(d.code == "E007" for d in diags)
     saw_errors = _print_diagnostics(diags)
     methods = [m for doc in documents for m in doc.methods]
     stats = analyze.corpus_stats(methods, catalog)
@@ -362,6 +366,8 @@ def cmd_stats(args) -> int:
             blocks.append("inconsistencies:\n" + "\n".join(analyze.align_table(
                 analyze.inconsistency_table_rows(inconsistent))))
         print("\n\n".join(blocks))
+    if io_failure:
+        return EXIT_USAGE
     return EXIT_DIAGNOSTICS if saw_errors else EXIT_OK
 
 

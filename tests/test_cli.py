@@ -221,6 +221,25 @@ class TestStatsCommand:
         code, _, err = run(capsys, ["stats", str(tmp_path)])
         assert code == 2
 
+    def test_unreadable_catalog_is_usage_error(self, capsys, tmp_path):
+        (tmp_path / "descriptions").mkdir()
+        (tmp_path / "catalog.nihc").write_bytes(b'catalog "caf\xe9" {}\n')
+        code, out, err = run(capsys, ["stats", str(tmp_path)])
+        assert code == 2 and out == ""
+        assert err == f"usage error: cannot read catalog file {tmp_path / 'catalog.nihc'}\n"
+
+    def test_unreadable_description_exits_2_after_every_diagnostic(self, capsys, tmp_path):
+        shutil.copytree(SYNTHETIC_DIR, tmp_path / "corpus")
+        descriptions = tmp_path / "corpus" / "descriptions"
+        (descriptions / "a_latin1.nihd").write_bytes(b'method "caf\xe9" {\n')
+        (descriptions / "b_malformed.nihd").write_text(
+            GAP_FILE.read_text().replace("      relation: 1:1\n", ""))
+        code, out, err = run(capsys, ["stats", str(tmp_path / "corpus")])
+        assert code == 2
+        unreadable, malformed = err.splitlines()
+        assert unreadable.startswith("E007 error cannot read") and " E005 error " in malformed
+        assert "methods: 131" in out
+
 
 JOINT_ATTRS = ("application-scenario,carrier-requirements,countermeasures,"
                 "relation,directness,robustness,bandwidth")
@@ -370,7 +389,8 @@ HOSTILE_CASES = [
                             "--combined", "--inconsistent"], 0),
     ("stats-empty-corpus-json", ["stats", "{empty_corpus}", "--format", "json"], 0),
     ("stats-file-as-corpus", ["stats", "{gap}"], 2),
-    ("stats-hostile-corpus", ["stats", "{hostile_corpus}", "--format", "csv"], 1),
+    ("stats-hostile-corpus", ["stats", "{hostile_corpus}", "--format", "csv"], 2),
+    ("stats-catalog-not-utf8", ["stats", "{latin1_catalog_corpus}"], 2),
     ("compare-directory", ["compare", "{directory}"], 2),
     ("compare-not-utf8", ["compare", "{gap}", "{latin1}"], 2),
     ("compare-malformed", ["compare", "{gap}", "{malformed}"], 1),
@@ -420,9 +440,12 @@ def hostile(tmp_path):
     shutil.copy(malformed, hostile_corpus / "descriptions")
     (hostile_corpus / "descriptions" / "subdirectory.nihd").mkdir()
     shutil.copy(GAP_FILE, hostile_corpus / "descriptions")
+    latin1_catalog_corpus = tmp_path / "latin1-catalog"
+    shutil.copytree(empty_corpus, latin1_catalog_corpus)
+    shutil.copy(latin1, latin1_catalog_corpus / "catalog.nihc")
     paths = dict(directory=directory, latin1=latin1, malformed=malformed, catalog=catalog,
                  why=why, empty_corpus=empty_corpus, hostile_corpus=hostile_corpus,
-                 gap=GAP_FILE)
+                 latin1_catalog_corpus=latin1_catalog_corpus, gap=GAP_FILE)
     return {name: str(path) for name, path in paths.items()}
 
 
