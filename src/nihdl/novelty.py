@@ -119,7 +119,6 @@ class ContributionKind(Enum):
 class WorkflowStage(Enum):
     PATTERN_DATABASE_READY = "pattern-database-ready"
     IDEA_CREATED = "idea-created"
-    DRAFT_DESCRIBED = "draft-described"
     UNDER_REVIEW = "under-review"
     PATTERN_OPTIMIZATION = "pattern-optimization"
     PUBLISHED = "published"
@@ -164,14 +163,11 @@ _PUBLISHED_SMALL = WorkflowState(WorkflowStage.PUBLISHED, ContributionKind.SMALL
 _PUBLISHED_BIG = WorkflowState(WorkflowStage.PUBLISHED, ContributionKind.BIG_C)
 
 # Submitting a draft implicitly puts it under review, so SUBMIT_DRAFT
-# lands in UNDER_REVIEW straight from the idea stage; DRAFT_DESCRIBED is
-# the authoring stage in between and submits the same way.
+# lands in UNDER_REVIEW straight from the idea stage.
 _TRANSITIONS: dict[tuple[WorkflowStage, WorkflowEvent], WorkflowState] = {
     (WorkflowStage.PATTERN_DATABASE_READY, WorkflowEvent.START_IDEA):
         WorkflowState(WorkflowStage.IDEA_CREATED),
     (WorkflowStage.IDEA_CREATED, WorkflowEvent.SUBMIT_DRAFT):
-        WorkflowState(WorkflowStage.UNDER_REVIEW),
-    (WorkflowStage.DRAFT_DESCRIBED, WorkflowEvent.SUBMIT_DRAFT):
         WorkflowState(WorkflowStage.UNDER_REVIEW),
     (WorkflowStage.UNDER_REVIEW, WorkflowEvent.REVIEW_ACCEPT_BIG_C):
         WorkflowState(WorkflowStage.PATTERN_OPTIMIZATION),

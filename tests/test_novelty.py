@@ -202,7 +202,7 @@ class TestWorkflow:
                 defined += 1
             except UndefinedTransitionError:
                 pass
-        assert defined == 7
+        assert defined == 6
 
     def test_published_state_invariant(self):
         with pytest.raises(ValueError):
