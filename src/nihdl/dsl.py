@@ -703,7 +703,11 @@ class _Parser:
                 while tok := kind.take(self, key, fields, consumed):
                     items.append(kind.parse(self, key, fields, tok))
                 fields[key.field] = kind.collect(items)
-            elif tok := kind.take(self, key, fields, consumed):
+                continue
+            # Every kind takes a key only at its own word; testing that first
+            # saves the calls for the many optional keys that are left out.
+            tok = self.cur.text == key.name and kind.take(self, key, fields, consumed)
+            if tok:
                 value = kind.parse(self, key, fields, tok)
                 if key.field is None:
                     fields.update(value)
@@ -856,6 +860,7 @@ class _Writer:
     def close(self) -> None:
         self.depth -= 1
         self.line("}")
+
 
 def _emit_block(w: _Writer, block: _Block, obj) -> None:
     for key in block.keys:
