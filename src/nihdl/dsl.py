@@ -563,7 +563,7 @@ _COUNTERMEASURES = _Block(
     _Key("entry", _ENTRY, _REPEATED, field="countermeasures"),
     _Key("warden", _WARDEN),
 )
-# The body of `method "name" { ... }`; parse_method adds name and location.
+# The body of `method "name" { ... }`; parse_document adds name and location.
 _METHOD = _Block(
     model.MethodDescription,
     _Key("source", _String("source key")),
@@ -755,28 +755,24 @@ class _Parser:
         while self.cur.kind is not TokenKind.EOF:
             if not self.at_keyword(_METHOD_WORD):
                 self.fail("E001", f"expected {_METHOD_WORD!r}, found {self.cur.describe()}")
-            methods.append(self.parse_method())
+            start = self.advance()
+            name, name_tok = self.string_value("method name")
+            if not name:
+                self.fail("E004", "method name must be non-empty", name_tok)
+            self.expect(TokenKind.LBRACE, "'{'")
+            fields = self.parse_block(_METHOD)
+            try:
+                methods.append(_METHOD.make(name=name, location=self.loc(start), **fields))
+            except ValueError as exc:
+                # Structural checks above should make this unreachable;
+                # keep the parser total regardless.
+                self.fail("E001", str(exc), start)
         return Document(methods=tuple(methods), source_file=self.file)
 
     def _skip_version_header(self) -> None:
         if self.at_keyword("nihdl-version"):
             self.advance()
             self.int_value("version number")
-
-    def parse_method(self) -> model.MethodDescription:
-        start = self.advance()  # 'method'
-        name, name_tok = self.string_value("method name")
-        if not name:
-            self.fail("E004", "method name must be non-empty", name_tok)
-        self.expect(TokenKind.LBRACE, "'{'")
-        fields = self.parse_block(_METHOD)
-        try:
-            return _METHOD.make(name=name, location=self.loc(start), **fields)
-        except ValueError as exc:
-            # Structural checks above should make this unreachable; keep
-            # the parser total regardless.
-            self.fail("E001", str(exc), start)
-            raise AssertionError  # pragma: no cover
 
     # -- catalog grammar ----------------------------------------------------
     def parse_catalog_file(self) -> PatternCatalog:
