@@ -267,7 +267,6 @@ class TestSerialize:
         assert diags == []
         assert catalog == seed_catalog()
 
-
     def test_synthetic_corpus_regenerates(self, tmp_path):
         tool = Path(__file__).parent.parent / "tools" / "make_synthetic_corpus.py"
         subprocess.run([sys.executable, str(tool), "--root", str(tmp_path)],
