@@ -12,6 +12,7 @@ from nihdl.cli import main
 from conftest import (
     CATALOG_FILE,
     DHCP_FILE,
+    FIXTURES,
     GAP_FILE,
     GOLDEN,
     SYNTHETIC_DIR,
@@ -189,6 +190,13 @@ class TestStatsCommand:
         assert payload["total"] == 131
         assert payload["attributes"]["robustness"]["covered_pct"] == "22.1"
         assert payload["unassigned"] == 1
+
+    @pytest.mark.parametrize("fmt,suffix", [("table", "txt"), ("csv", "csv"), ("json", "json")])
+    def test_report_bytes(self, capsys, fmt, suffix):
+        code, out, err = run(capsys, ["stats", str(SYNTHETIC_DIR), "--by-year", "--patterns",
+                                      "--combined", "--inconsistent", "--format", fmt])
+        assert code == 0 and err == ""
+        assert out == (GOLDEN / f"stats.{suffix}").read_text(encoding="utf-8")
 
     def test_combined_and_inconsistent_flags(self, capsys, tmp_path):
         corpus_root = tmp_path / "corpus"
@@ -371,13 +379,15 @@ def test_help_exits_zero(capsys):
 # argv names placeholders that the ``hostile`` fixture fills in: a
 # directory where a file is expected, a file that is not UTF-8, a
 # description that does not parse, corpora without content, and
-# catalog-add values that cannot be stored.
+# catalog-add values that cannot be stored; a few omit a required
+# --catalog. Each case's stderr is pinned in tests/golden/hostile_stderr.txt.
 HOSTILE_CASES = [
     ("validate-directory", ["validate", "{directory}", "--catalog", "{catalog}"], 2),
     ("validate-not-utf8", ["validate", "{latin1}", "--catalog", "{catalog}"], 2),
     ("validate-malformed", ["validate", "{malformed}", "--catalog", "{catalog}"], 1),
     ("validate-catalog-directory", ["validate", "{gap}", "--catalog", "{directory}"], 2),
     ("validate-catalog-not-utf8", ["validate", "{gap}", "--catalog", "{latin1}"], 2),
+    ("validate-without-catalog", ["validate", "{gap}"], 2),
     ("render-directory", ["render", "{directory}"], 2),
     ("render-not-utf8", ["render", "{latin1}"], 2),
     ("render-malformed", ["render", "{malformed}"], 1),
@@ -398,8 +408,12 @@ HOSTILE_CASES = [
     ("assess-not-utf8", ["assess", "{latin1}", "--catalog", "{catalog}"], 2),
     ("assess-malformed", ["assess", "{malformed}", "--catalog", "{catalog}"], 1),
     ("assess-catalog-directory", ["assess", "{gap}", "--catalog", "{directory}"], 2),
+    ("assess-without-catalog", ["assess", "{gap}"], 2),
     ("catalog-add-catalog-directory",
      ["catalog-add", "--catalog", "{directory}", "--parent", "Network Covert Timing Channels",
+      "--name", "Rate Pattern", "--justification", "{why}"], 2),
+    ("catalog-add-without-catalog",
+     ["catalog-add", "--parent", "Network Covert Timing Channels",
       "--name", "Rate Pattern", "--justification", "{why}"], 2),
     ("catalog-add-catalog-not-utf8",
      ["catalog-add", "--catalog", "{latin1}", "--parent", "Network Covert Timing Channels",
@@ -417,6 +431,21 @@ HOSTILE_CASES = [
      ["catalog-add", "--catalog", "{catalog}", "--parent", "Network Covert Timing Channels",
       "--name", "Rate\rPattern", "--justification", "{why}"], 2),
 ]
+
+
+def _golden_stderr() -> dict[str, str]:
+    """Expected stderr per hostile case, from blocks headed ``== <case id>``."""
+    blocks: dict[str, str] = {}
+    for line in (GOLDEN / "hostile_stderr.txt").read_text(encoding="utf-8").splitlines(True):
+        if line.startswith("== "):
+            case = line[3:].rstrip("\n")
+            blocks[case] = ""
+        else:
+            blocks[case] += line
+    return blocks
+
+
+HOSTILE_STDERR = _golden_stderr()
 
 
 @pytest.fixture
@@ -449,13 +478,17 @@ def hostile(tmp_path):
     return {name: str(path) for name, path in paths.items()}
 
 
-@pytest.mark.parametrize("argv,expected", [case[1:] for case in HOSTILE_CASES],
+@pytest.mark.parametrize("case,argv,expected", HOSTILE_CASES,
                          ids=[case[0] for case in HOSTILE_CASES])
-def test_hostile_input_exits_without_traceback(capsys, monkeypatch, hostile, argv, expected):
+def test_hostile_input_exits_without_traceback(capsys, monkeypatch, tmp_path, hostile,
+                                               case, argv, expected):
     monkeypatch.delenv("NIHDL_CATALOG", raising=False)
     catalog_before = open(hostile["catalog"], "rb").read()
     code, _, err = run(capsys, [arg.format(**hostile) for arg in argv])
     assert "Traceback" not in err
     assert code == expected, err
+    # Paths are written as <tmp> and <fixtures> in the golden stderr.
+    err = err.replace(str(tmp_path), "<tmp>").replace(str(FIXTURES), "<fixtures>")
+    assert err == HOSTILE_STDERR[case]
     if argv[0] == "catalog-add":
         assert open(hostile["catalog"], "rb").read() == catalog_before
