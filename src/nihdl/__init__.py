@@ -18,7 +18,6 @@ from .analyze import (
     corpus_stats,
     inconsistency_report,
     pattern_histogram,
-    stats_by_year,
 )
 from .diagnostics import Diagnostic, Severity, SourceLocation
 from .dsl import Document, parse_catalog, parse_description, serialize, serialize_catalog
@@ -39,7 +38,6 @@ from .model import (
     SharedGroup,
     TrackedAttribute,
     WardenProfile,
-    attribute_presence,
     coverage,
     normalize,
 )

@@ -22,7 +22,6 @@ from .model import (
     MethodDescription,
     Presence,
     Relation,
-    SharedGroup,
     TrackedAttribute,
     coverage,
 )
@@ -62,9 +61,8 @@ def format_percent(numerator: int, denominator: int) -> str:
 
 @dataclass(frozen=True)
 class CoverageVector:
-    """Per-attribute presence of one description plus its mean score."""
+    """The mean completeness score of one description."""
 
-    presences: dict[TrackedAttribute, tuple[Presence, SharedGroup | None]]
     aggregate: Fraction
 
 
@@ -74,7 +72,7 @@ def completeness(d: MethodDescription) -> CoverageVector:
     row = coverage(d)
     # Presence values are 0, 1 and 2, so their sum is 2*full + partial.
     total = sum(presence for presence, _ in row)
-    return CoverageVector(dict(zip(TrackedAttribute, row)), Fraction(total, 2 * len(row)))
+    return CoverageVector(Fraction(total, 2 * len(row)))
 
 
 @dataclass(frozen=True)
@@ -116,15 +114,11 @@ class YearStats:
     attributes: dict[TrackedAttribute, AttributeCounts]
 
 
-def stats_by_year(methods: list[MethodDescription]) -> dict[int | None, YearStats]:
-    """Attribute counts per publication year, years ascending; methods
-    without a year are grouped under None ("unknown"), listed last."""
-    return _stats_by_year(methods, [coverage(m) for m in methods])
-
-
-def _stats_by_year(
+def _by_year(
     methods: list[MethodDescription], rows: list[CoverageRow]
 ) -> dict[int | None, YearStats]:
+    """Attribute counts per publication year, years ascending; methods
+    without a year are grouped under None ("unknown"), listed last."""
     buckets: dict[int | None, list[CoverageRow]] = {}
     for m, row in zip(methods, rows):
         buckets.setdefault(m.year, []).append(row)
@@ -195,7 +189,7 @@ def corpus_stats(methods: list[MethodDescription], catalog: PatternCatalog) -> C
     return CorpusStats(
         total=len(methods),
         attributes=_count_attributes(rows),
-        by_year=_stats_by_year(methods, rows),
+        by_year=_by_year(methods, rows),
         histogram=histogram,
         unassigned=unassigned,
         diagnostics=tuple(diagnostics),

@@ -3,8 +3,9 @@ catalog-add.
 
 Reports go to stdout, diagnostics to stderr. Exit status 0 means no
 error-severity diagnostics, 1 means error diagnostics were produced, and
-2 means a usage or I/O failure. NIHDL_CATALOG supplies a default catalog
-path where a command takes --catalog.
+2 means a usage or I/O failure: any command that meets an input file it
+cannot read (E007) exits 2, whatever else it printed. NIHDL_CATALOG
+supplies a default catalog path where a command takes --catalog.
 """
 
 from __future__ import annotations
@@ -15,12 +16,14 @@ import io
 import json
 import os
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 from . import analyze, dsl, model, novelty, store
 from .validate import ValidationMode, validate_document
 from .diagnostics import Diagnostic, Severity
 from .taxonomy import (
+    PatternCatalog,
     PatternPath,
     InvalidNameError,
     TaxonomyError,
@@ -44,20 +47,21 @@ class _Exit(Exception):
     """Ends a command with the exit status in ``args[0]``; the reason is already printed."""
 
 
-def _print_diagnostics(diags: list[Diagnostic]) -> bool:
-    """Write diagnostics to stderr; True when any is an error."""
+def _print_diagnostics(diags: Iterable[Diagnostic], status: int = EXIT_OK) -> int:
+    """Write diagnostics to stderr; return ``status`` raised to what they
+    call for: 2 for a file that cannot be read (E007), 1 for any other error."""
     for diag in diags:
         print(diag.render(), file=sys.stderr)
-    return any(d.severity is Severity.ERROR for d in diags)
+        if diag.severity is Severity.ERROR:
+            status = max(status, EXIT_USAGE if diag.code == "E007" else EXIT_DIAGNOSTICS)
+    return status
 
 
 def _read_document(path: str) -> dsl.Document:
-    """Parse one description file, or print why not and exit: 2 when the
-    file cannot be read (E007), 1 when it does not parse."""
+    """Parse one description file, or print why not and exit."""
     document, diags = store.read_description_file(path)
     if document is None:
-        _print_diagnostics(diags)
-        raise _Exit(EXIT_USAGE if any(d.code == "E007" for d in diags) else EXIT_DIAGNOSTICS)
+        raise _Exit(_print_diagnostics(diags))
     return document
 
 
@@ -65,19 +69,26 @@ def _catalog_path(args) -> str | None:
     return args.catalog or os.environ.get("NIHDL_CATALOG")
 
 
-def _checked_catalog(path, catalog, diags):
-    """``catalog``, or None after printing why it did not parse; an
-    unreadable file (E007) is a usage/I-O failure."""
+def _catalog(args, required: str | None = None, status: int = EXIT_OK) -> PatternCatalog:
+    """The catalog that --catalog or NIHDL_CATALOG names. Without one, the
+    seed catalog when ``required`` is None, else a usage error ending in
+    ``required``. ``status`` is what the command has printed so far."""
+    path = _catalog_path(args)
+    if path is None:
+        if required is None:
+            return seed_catalog()
+        raise _UsageError(f"--catalog (or NIHDL_CATALOG) is required{required}")
+    return _checked_catalog(path, *store.read_catalog_file(path), status)
+
+
+def _checked_catalog(path, catalog, diags, status: int = EXIT_OK) -> PatternCatalog:
+    """``catalog``; else a usage error when the file cannot be read (E007),
+    or the end of the command after the diagnostics of why it did not parse."""
     if catalog is None:
         if any(d.code == "E007" for d in diags):
             raise _UsageError(f"cannot read catalog file {path}")
-        _print_diagnostics(diags)
+        raise _Exit(_print_diagnostics(diags, status))
     return catalog
-
-
-def _load_catalog(path: str):
-    """Parse a catalog file; unreadable files are usage/I-O failures."""
-    return _checked_catalog(path, *store.read_catalog_file(path))
 
 
 # ---------------------------------------------------------------------------
@@ -86,38 +97,20 @@ def _load_catalog(path: str):
 
 def cmd_validate(args) -> int:
     documents = []
-    io_failure = False
-    saw_errors = False
+    status = EXIT_OK
     for file_name in args.files:
         document, diags = store.read_description_file(file_name)
-        if any(d.code == "E007" for d in diags):
-            io_failure = True
-        saw_errors |= _print_diagnostics(diags)
+        status = _print_diagnostics(diags, status)
         if document is not None:
             documents.append(document)
 
-    catalog = None
-    catalog_path = _catalog_path(args)
-    if catalog_path is not None:
-        catalog = _load_catalog(catalog_path)
-        if catalog is None:
-            return EXIT_DIAGNOSTICS
-    else:
-        needs_resolution = any(
-            not m.pattern.path.unassigned for doc in documents for m in doc.methods
-        )
-        if needs_resolution:
-            raise _UsageError(
-                "--catalog (or NIHDL_CATALOG) is required to resolve pattern paths"
-            )
-        catalog = seed_catalog()
-
+    # Unassigned methods resolve nothing, so the seed catalog serves them.
+    assigned = any(not m.pattern.path.unassigned for doc in documents for m in doc.methods)
+    catalog = _catalog(args, " to resolve pattern paths" if assigned else None, status)
     mode = ValidationMode.STRICT if args.strict else ValidationMode.SURVEY
     for document in documents:
-        saw_errors |= _print_diagnostics(validate_document(document, catalog, mode))
-    if io_failure:
-        return EXIT_USAGE
-    return EXIT_DIAGNOSTICS if saw_errors else EXIT_OK
+        status = _print_diagnostics(validate_document(document, catalog, mode), status)
+    return status
 
 
 # ---------------------------------------------------------------------------
@@ -269,13 +262,7 @@ def cmd_render(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_tree(args) -> int:
-    catalog_path = _catalog_path(args)
-    if catalog_path is None:
-        catalog = seed_catalog()
-    else:
-        catalog = _load_catalog(catalog_path)
-        if catalog is None:
-            return EXIT_DIAGNOSTICS
+    catalog = _catalog(args)
     if catalog.is_empty:
         print("(empty catalog)", file=sys.stderr)
         return EXIT_OK
@@ -303,14 +290,11 @@ def cmd_stats(args) -> int:
         catalog = _checked_catalog(corpus.catalog_file, *store.load_catalog(corpus))
     except store.StoreError as exc:
         raise _UsageError(str(exc)) from None
-    if catalog is None:
-        return EXIT_DIAGNOSTICS
     documents, diags = store.load_all(corpus)
-    io_failure = any(d.code == "E007" for d in diags)
-    saw_errors = _print_diagnostics(diags)
+    status = _print_diagnostics(diags)
     methods = [m for doc in documents for m in doc.methods]
     stats = analyze.corpus_stats(methods, catalog)
-    saw_errors |= _print_diagnostics(list(stats.diagnostics))
+    status = _print_diagnostics(stats.diagnostics, status)
 
     combined = analyze.combined_groups(methods) if args.combined else None
     inconsistent = analyze.inconsistency_report(methods) if args.inconsistent else None
@@ -338,37 +322,29 @@ def cmd_stats(args) -> int:
                 for row in inconsistent
             ]
         print(json.dumps(payload, indent=2))
-    elif args.format == "csv":
-        tables = [analyze.attribute_table_rows(stats, suffix="")]
-        if args.by_year:
-            tables.append(analyze.by_year_table_rows(stats, suffix=""))
-        if args.patterns:
-            tables.append(analyze.histogram_table_rows(stats))
-        if combined is not None:
-            tables.append(analyze.combined_table_rows(combined))
-        if inconsistent is not None:
-            tables.append(analyze.inconsistency_table_rows(inconsistent))
-        print(_csv_text(tables), end="")
     else:
-        blocks = [f"methods: {stats.total}"]
-        blocks.append("\n".join(analyze.align_table(
-            analyze.attribute_table_rows(stats), right={1, 2, 3, 4})))
+        # (title, rows, right-aligned columns) of each section, in order.
+        suffix = "" if args.format == "csv" else "%"
+        sections = [("", analyze.attribute_table_rows(stats, suffix), {1, 2, 3, 4})]
         if args.by_year:
-            blocks.append("by year:\n" + "\n".join(analyze.align_table(
-                analyze.by_year_table_rows(stats), right=set(range(1, 8)))))
+            sections.append(("by year", analyze.by_year_table_rows(stats, suffix),
+                             set(range(1, 8))))
         if args.patterns:
-            blocks.append("patterns:\n" + "\n".join(analyze.align_table(
-                analyze.histogram_table_rows(stats), right={1})))
+            sections.append(("patterns", analyze.histogram_table_rows(stats), {1}))
         if combined is not None:
-            blocks.append("combined:\n" + "\n".join(analyze.align_table(
-                analyze.combined_table_rows(combined))))
+            sections.append(("combined", analyze.combined_table_rows(combined), set()))
         if inconsistent is not None:
-            blocks.append("inconsistencies:\n" + "\n".join(analyze.align_table(
-                analyze.inconsistency_table_rows(inconsistent))))
-        print("\n\n".join(blocks))
-    if io_failure:
-        return EXIT_USAGE
-    return EXIT_DIAGNOSTICS if saw_errors else EXIT_OK
+            sections.append(("inconsistencies",
+                             analyze.inconsistency_table_rows(inconsistent), set()))
+        if args.format == "csv":
+            print(_csv_text([rows for _, rows, _ in sections]), end="")
+        else:
+            blocks = [f"methods: {stats.total}"]
+            for title, rows, right in sections:
+                table = "\n".join(analyze.align_table(rows, right))
+                blocks.append(f"{title}:\n{table}" if title else table)
+            print("\n\n".join(blocks))
+    return status
 
 
 # ---------------------------------------------------------------------------
@@ -399,12 +375,7 @@ def cmd_compare(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_assess(args) -> int:
-    catalog_path = _catalog_path(args)
-    if catalog_path is None:
-        raise _UsageError("--catalog (or NIHDL_CATALOG) is required for assessment")
-    catalog = _load_catalog(catalog_path)
-    if catalog is None:
-        return EXIT_DIAGNOSTICS
+    catalog = _catalog(args, " for assessment")
     document = _read_document(args.file)
     for method in document.methods:
         print(novelty.assess(method, catalog).render())
@@ -412,12 +383,7 @@ def cmd_assess(args) -> int:
 
 
 def cmd_catalog_add(args) -> int:
-    catalog_path = _catalog_path(args)
-    if catalog_path is None:
-        raise _UsageError("--catalog (or NIHDL_CATALOG) is required")
-    catalog = _load_catalog(catalog_path)
-    if catalog is None:
-        return EXIT_DIAGNOSTICS
+    catalog = _catalog(args, "")
     try:
         justification = Path(args.justification).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -437,7 +403,7 @@ def cmd_catalog_add(args) -> int:
     except TaxonomyError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DIAGNOSTICS
-    store.atomic_write_text(Path(catalog_path), dsl.serialize_catalog(extended))
+    store.atomic_write_text(Path(_catalog_path(args)), dsl.serialize_catalog(extended))
     print(f'added "{args.name}" under {parent.text}')
     return EXIT_OK
 

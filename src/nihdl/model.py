@@ -387,14 +387,6 @@ def coverage(d: MethodDescription) -> CoverageRow:
     )
 
 
-def attribute_presence(
-    d: MethodDescription, attribute: TrackedAttribute
-) -> tuple[Presence, SharedGroup | None]:
-    """Presence of one tracked attribute, plus its combined-description
-    group: that attribute's entry in ``coverage(d)``."""
-    return coverage(d)[list(TrackedAttribute).index(attribute)]
-
-
 def normalize(d: MethodDescription) -> MethodDescription:
     """Canonical ordering: countermeasure entries by kind (elimination,
     limitation, detection, protocol revision; stable within a kind) and

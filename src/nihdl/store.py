@@ -75,26 +75,20 @@ def load_catalog(corpus: Corpus) -> tuple[PatternCatalog | None, list[Diagnostic
 
 
 def read_catalog_file(path: str | Path) -> tuple[PatternCatalog | None, list[Diagnostic]]:
-    path = Path(path)
-    text, diag = _read_text(path)
-    if diag is not None:
-        return None, [diag]
-    return dsl.parse_catalog(text, str(path))
+    return _read(Path(path), dsl.parse_catalog)
 
 
 def read_description_file(path: str | Path) -> tuple[dsl.Document | None, list[Diagnostic]]:
-    path = Path(path)
-    text, diag = _read_text(path)
-    if diag is not None:
-        return None, [diag]
-    return dsl.parse_description(text, str(path))
+    return _read(Path(path), dsl.parse_description)
 
 
-def _read_text(path: Path) -> tuple[str, None] | tuple[None, Diagnostic]:
+def _read(path: Path, parse):
+    """``parse`` the file's text; a file that cannot be read gives E007."""
     try:
-        return path.read_text(encoding="utf-8"), None
+        text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        return None, Diagnostic("E007", f"cannot read {path}: {exc}")
+        return None, [Diagnostic("E007", f"cannot read {path}: {exc}")]
+    return parse(text, str(path))
 
 
 def load_all(corpus: Corpus) -> tuple[list[dsl.Document], list[Diagnostic]]:

@@ -245,36 +245,31 @@ def extend_catalog(catalog: PatternCatalog, parent: PatternPath, name: str) -> P
     return PatternCatalog(roots=roots, label=catalog.label)
 
 
-def list_leaves(catalog: PatternCatalog) -> list[PatternPath]:
-    """Every root-to-leaf path exactly once, in depth-first author order."""
-    leaves: list[PatternPath] = []
+def _chains(catalog: PatternCatalog, leaves_only: bool) -> list[tuple[str, ...]]:
+    """The name chain of every node (or only of every leaf), depth-first
+    in author order."""
+    chains: list[tuple[str, ...]] = []
 
     def walk(node: PatternNode, prefix: tuple[str, ...]) -> None:
         chain = prefix + (node.name,)
-        if node.is_leaf:
-            leaves.append(PatternPath(elements=chain))
-            return
+        if not (leaves_only and node.children):
+            chains.append(chain)
         for child in node.children:
             walk(child, chain)
 
     for root in catalog.roots:
         walk(root, ())
-    return leaves
+    return chains
+
+
+def list_leaves(catalog: PatternCatalog) -> list[PatternPath]:
+    """Every root-to-leaf path exactly once, in depth-first author order."""
+    return [PatternPath(elements=chain) for chain in _chains(catalog, leaves_only=True)]
 
 
 def iter_node_paths(catalog: PatternCatalog) -> list[PatternPath]:
     """Every root-to-node path (leaves and internals), depth-first."""
-    paths: list[PatternPath] = []
-
-    def walk(node: PatternNode, prefix: tuple[str, ...]) -> None:
-        chain = prefix + (node.name,)
-        paths.append(PatternPath(elements=chain))
-        for child in node.children:
-            walk(child, chain)
-
-    for root in catalog.roots:
-        walk(root, ())
-    return paths
+    return [PatternPath(elements=chain) for chain in _chains(catalog, leaves_only=False)]
 
 
 def _chain(*names: str) -> PatternNode:

@@ -16,9 +16,8 @@ from nihdl.analyze import (
     format_percent,
     inconsistency_report,
     pattern_histogram,
-    stats_by_year,
 )
-from nihdl.model import Presence, TrackedAttribute
+from nihdl.model import Presence, TrackedAttribute, coverage
 from nihdl.taxonomy import list_leaves
 
 from conftest import GAP_FILE
@@ -139,22 +138,22 @@ class TestCorpusStats:
 
 
 class TestStatsByYear:
-    def test_single_method_single_row(self, gap_method):
-        table = stats_by_year([gap_method])
+    def test_single_method_single_row(self, gap_method, catalog):
+        table = corpus_stats([gap_method], catalog).by_year
         assert list(table) == [2008]
         counts = table[2008].attributes[TrackedAttribute.BANDWIDTH]
         assert (counts.full, counts.partial, counts.absent) == (1, 0, 0)
 
-    def test_two_years_two_rows(self, gap_method):
+    def test_two_years_two_rows(self, gap_method, catalog):
         early = dataclasses.replace(gap_method, name="early", year=1987)
         late = dataclasses.replace(gap_method, name="late", year=2015)
-        assert list(stats_by_year([early, late])) == [1987, 2015]
+        assert list(corpus_stats([early, late], catalog).by_year) == [1987, 2015]
 
-    def test_unknown_year_grouped_last(self, gap_method, dhcp_method):
-        table = stats_by_year([gap_method, dhcp_method])  # dhcp has no year
+    def test_unknown_year_grouped_last(self, gap_method, dhcp_method, catalog):
+        table = corpus_stats([gap_method, dhcp_method], catalog).by_year  # dhcp has no year
         assert list(table) == [2008, None]
 
-    def test_later_years_can_dominate_coverage(self, gap_method):
+    def test_later_years_can_dominate_coverage(self, gap_method, catalog):
         # Constructed corpus: bandwidth described only in recent methods.
         old = [
             dataclasses.replace(
@@ -168,7 +167,7 @@ class TestStatsByYear:
             )
             for i in range(4)
         ]
-        table = stats_by_year(old + new)
+        table = corpus_stats(old + new, catalog).by_year
         bw = TrackedAttribute.BANDWIDTH
         early_ratio = table[1990].attributes[bw].covered_ratio
         late_ratio = table[2012].attributes[bw].covered_ratio
@@ -293,8 +292,8 @@ class TestComparisonMatrix:
         for _ in range(25):
             d = description(rng, paths)
             row = comparison_matrix([d], [a.key for a in TrackedAttribute])[0]
-            for cell, attr in zip(row, TrackedAttribute):
-                presence, shared = model.attribute_presence(d, attr)
+            # Both the row and coverage(d) follow TrackedAttribute order.
+            for cell, (presence, shared) in zip(row, coverage(d), strict=True):
                 expected = cell_for[presence]
                 if shared is not None:
                     expected += ",combined"

@@ -12,7 +12,6 @@ from nihdl.model import (
     CountermeasureKind,
     Presence,
     TrackedAttribute,
-    attribute_presence,
     coverage,
     normalize,
 )
@@ -69,32 +68,35 @@ def test_coverage_matches_reference_rule():
     for d in _reference_methods():
         expected = tuple(_reference_presence(d, attr) for attr in TrackedAttribute)
         assert coverage(d) == expected, d.name
-        for attr, pair in zip(TrackedAttribute, expected):
-            assert attribute_presence(d, attr) == pair, (d.name, attr)
         checked += 1
     assert checked == 131 + 400
 
 
+def _by_attribute(d):
+    """``coverage(d)`` keyed by TrackedAttribute, the order its pairs follow."""
+    return dict(zip(TrackedAttribute, coverage(d), strict=True))
+
+
 class TestAttributePresence:
     def test_gap_bandwidth_full(self, gap_method):
-        assert attribute_presence(gap_method, TrackedAttribute.BANDWIDTH) == (
+        assert _by_attribute(gap_method)[TrackedAttribute.BANDWIDTH] == (
             Presence.FULL, None,
         )
 
     def test_gap_control_protocol_absent(self, gap_method):
         # The block is present but explicitly absent.
-        assert attribute_presence(gap_method, TrackedAttribute.CONTROL_PROTOCOL) == (
+        assert _by_attribute(gap_method)[TrackedAttribute.CONTROL_PROTOCOL] == (
             Presence.ABSENT, None,
         )
 
     def test_gap_countermeasures_full(self, gap_method):
-        assert attribute_presence(gap_method, TrackedAttribute.COUNTERMEASURES) == (
+        assert _by_attribute(gap_method)[TrackedAttribute.COUNTERMEASURES] == (
             Presence.FULL, None,
         )
 
     def test_missing_scenario_block_is_absent(self, gap_method):
         stripped = dataclasses.replace(gap_method, scenario=None)
-        assert attribute_presence(stripped, TrackedAttribute.APPLICATION_SCENARIO) == (
+        assert _by_attribute(stripped)[TrackedAttribute.APPLICATION_SCENARIO] == (
             Presence.ABSENT, None,
         )
 
@@ -103,11 +105,11 @@ class TestAttributePresence:
             dataclasses.replace(e, evaluated=False) for e in gap_method.countermeasures[:2]
         )
         d = dataclasses.replace(gap_method, countermeasures=entries)
-        assert attribute_presence(d, TrackedAttribute.COUNTERMEASURES)[0] is Presence.PARTIAL
+        assert _by_attribute(d)[TrackedAttribute.COUNTERMEASURES][0] is Presence.PARTIAL
 
     def test_no_entries_is_absent(self, gap_method):
         d = dataclasses.replace(gap_method, countermeasures=())
-        assert attribute_presence(d, TrackedAttribute.COUNTERMEASURES)[0] is Presence.ABSENT
+        assert _by_attribute(d)[TrackedAttribute.COUNTERMEASURES][0] is Presence.ABSENT
 
     def test_adding_evaluated_entry_never_lowers_presence(self, gap_method):
         # Monotonicity of the countermeasures coding rule.
@@ -118,11 +120,11 @@ class TestAttributePresence:
         )
         for base_entries in ((), gap_method.countermeasures[:1], gap_method.countermeasures):
             d = dataclasses.replace(gap_method, countermeasures=tuple(base_entries))
-            before = attribute_presence(d, TrackedAttribute.COUNTERMEASURES)[0]
+            before = _by_attribute(d)[TrackedAttribute.COUNTERMEASURES][0]
             grown = dataclasses.replace(
                 d, countermeasures=tuple(base_entries) + (extra,)
             )
-            after = attribute_presence(grown, TrackedAttribute.COUNTERMEASURES)[0]
+            after = _by_attribute(grown)[TrackedAttribute.COUNTERMEASURES][0]
             assert after >= before
 
 
