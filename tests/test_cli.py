@@ -388,6 +388,8 @@ HOSTILE_CASES = [
     ("validate-catalog-directory", ["validate", "{gap}", "--catalog", "{directory}"], 2),
     ("validate-catalog-not-utf8", ["validate", "{gap}", "--catalog", "{latin1}"], 2),
     ("validate-without-catalog", ["validate", "{gap}"], 2),
+    ("validate-unreadable-malformed-catalog",
+     ["validate", "{latin1}", "--catalog", "{malformed}"], 2),
     ("render-directory", ["render", "{directory}"], 2),
     ("render-not-utf8", ["render", "{latin1}"], 2),
     ("render-malformed", ["render", "{malformed}"], 1),
