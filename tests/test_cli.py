@@ -161,6 +161,10 @@ class TestTreeCommand:
         assert out == (GOLDEN / "seed_tree.txt").read_text()
 
 
+STATS_FORMATS = [("table", "txt"), ("csv", "csv"), ("json", "json")]
+ALL_SECTIONS = ["--by-year", "--patterns", "--combined", "--inconsistent"]
+
+
 class TestStatsCommand:
     def test_synthetic_table(self, capsys):
         code, out, err = run(capsys, ["stats", str(SYNTHETIC_DIR)])
@@ -191,12 +195,50 @@ class TestStatsCommand:
         assert payload["attributes"]["robustness"]["covered_pct"] == "22.1"
         assert payload["unassigned"] == 1
 
-    @pytest.mark.parametrize("fmt,suffix", [("table", "txt"), ("csv", "csv"), ("json", "json")])
+    @pytest.mark.parametrize("fmt,suffix", STATS_FORMATS)
     def test_report_bytes(self, capsys, fmt, suffix):
-        code, out, err = run(capsys, ["stats", str(SYNTHETIC_DIR), "--by-year", "--patterns",
-                                      "--combined", "--inconsistent", "--format", fmt])
+        code, out, err = run(capsys, ["stats", str(SYNTHETIC_DIR), *ALL_SECTIONS,
+                                      "--format", fmt])
         assert code == 0 and err == ""
         assert out == (GOLDEN / f"stats.{suffix}").read_text(encoding="utf-8")
+
+    @pytest.fixture
+    def small_corpus(self, tmp_path):
+        """The joint fixture, whose paths stop at an internal node (E111);
+        the gap channel; and an undated gap channel without a source whose
+        scenario carries a label that no other method uses."""
+        root = tmp_path / "small"
+        (root / "descriptions").mkdir(parents=True)
+        shutil.copy(CATALOG_FILE, root / "catalog.nihc")
+        shutil.copy(JOINT_FILE, root / "descriptions")
+        shutil.copy(GAP_FILE, root / "descriptions")
+        (root / "descriptions" / "unsourced.nihd").write_text(
+            GAP_FILE.read_text()
+            .replace('"Model-based inter-packet gap channel"', '"Unsourced gap channel"')
+            .replace('  source: "gianvecchio2008"\n  year: 2008\n', "")
+            .replace("purpose: general-purpose\n",
+                     'purpose: general-purpose\n      shared-with: "solo-eval"\n'))
+        return root
+
+    @pytest.mark.parametrize("fmt,suffix", STATS_FORMATS)
+    def test_small_corpus_report_bytes(self, capsys, small_corpus, fmt, suffix):
+        code, out, err = run(capsys, ["stats", str(small_corpus), *ALL_SECTIONS,
+                                      "--format", fmt])
+        assert code == 1
+        assert err == (
+            f"{small_corpus / 'descriptions' / 'joint_descriptions.nihd'}:1:1: E111 error"
+            " [Link quality] pattern path is not a leaf: Network Covert Storage Channels"
+            " / Modification of Non-Payload / Structure Preserving"
+            " / Modification of an Attribute / Value Modulation\n")
+        assert out == (GOLDEN / f"stats_small.{suffix}").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("fmt,suffix", STATS_FORMATS)
+    def test_empty_corpus_report_bytes(self, capsys, tmp_path, fmt, suffix):
+        (tmp_path / "descriptions").mkdir()
+        shutil.copy(CATALOG_FILE, tmp_path / "catalog.nihc")
+        code, out, err = run(capsys, ["stats", str(tmp_path), *ALL_SECTIONS, "--format", fmt])
+        assert code == 0 and err == ""
+        assert out == (GOLDEN / f"stats_empty.{suffix}").read_text(encoding="utf-8")
 
     def test_combined_and_inconsistent_flags(self, capsys, tmp_path):
         corpus_root = tmp_path / "corpus"
@@ -265,6 +307,13 @@ class TestCompareCommand:
                            "No", "No", "Yes", "Yes"]
         assert rows[2] == ["Sensor data", "Yes,combined", "Par", "Par",
                            "Yes", "Par", "Yes", "Par"]
+
+    @pytest.mark.parametrize("fmt,suffix", [("table", "txt"), ("csv", "csv")])
+    def test_report_bytes(self, capsys, fmt, suffix):
+        code, out, err = run(capsys, ["compare", str(JOINT_FILE), str(GAP_FILE),
+                                      "--attributes", JOINT_ATTRS, "--format", fmt])
+        assert code == 0 and err == ""
+        assert out == (GOLDEN / f"compare.{suffix}").read_text(encoding="utf-8")
 
     def test_single_cell(self, capsys):
         code, out, _ = run(capsys, ["compare", str(GAP_FILE),
