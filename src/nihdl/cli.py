@@ -317,7 +317,7 @@ def cmd_stats(args) -> int:
                 {
                     "source": row.source,
                     "attribute": row.attribute.key,
-                    "values": {name: p.name.lower() for name, p in row.presences},
+                    "values": [[name, p.name.lower()] for name, p in row.presences],
                 }
                 for row in inconsistent
             ]

@@ -254,6 +254,23 @@ class TestStatsCommand:
         assert "sdp-eval" in out
         assert "pervasive-cc" in out
 
+    def test_json_inconsistencies_keep_methods_that_share_a_name(self, capsys, tmp_path):
+        (tmp_path / "descriptions").mkdir()
+        shutil.copy(CATALOG_FILE, tmp_path / "catalog.nihc")
+        shutil.copy(GAP_FILE, tmp_path / "descriptions" / "a.nihd")
+        (tmp_path / "descriptions" / "b.nihd").write_text(
+            GAP_FILE.read_text().replace("status: full", "status: partial"))
+        argv = ["stats", str(tmp_path), "--inconsistent", "--format"]
+        _, table, _ = run(capsys, argv + ["csv"])
+        code, out, err = run(capsys, argv + ["json"])
+        assert code == 0 and err == ""
+        name = "Model-based inter-packet gap channel"
+        inconsistencies = json.loads(out)["inconsistencies"]
+        assert [row["values"] for row in inconsistencies] == [
+            [[name, "full"], [name, "partial"]]] * 4
+        values = [", ".join(f"{n}={p}" for n, p in row["values"]) for row in inconsistencies]
+        assert values == [row[2] for row in list(csv.reader(io.StringIO(table)))[-4:]]
+
     def test_empty_corpus(self, capsys, tmp_path):
         (tmp_path / "descriptions").mkdir()
         shutil.copy(CATALOG_FILE, tmp_path / "catalog.nihc")
