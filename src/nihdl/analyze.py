@@ -210,14 +210,14 @@ class CombinedGroup:
 def combined_groups(methods: list[MethodDescription]) -> list[CombinedGroup]:
     """One row per (source, label), listing the attributes that at least two
     methods of that source describe jointly under the label."""
-    carriers: dict[tuple[str | None, str], dict[TrackedAttribute, list[str]]] = {}
+    carriers: dict[tuple[str | None, str], dict[TrackedAttribute, set[str]]] = {}
     members: dict[tuple[str | None, str], list[str]] = {}
     for m in methods:
         for attr, (_, shared) in zip(TrackedAttribute, coverage(m)):
             if shared is None:
                 continue
             key = (m.source, shared.label)
-            carriers.setdefault(key, {}).setdefault(attr, []).append(m.name)
+            carriers.setdefault(key, {}).setdefault(attr, set()).add(m.name)
             group = members.setdefault(key, [])
             if m.name not in group:
                 group.append(m.name)
@@ -225,7 +225,7 @@ def combined_groups(methods: list[MethodDescription]) -> list[CombinedGroup]:
     for key, by_attr in carriers.items():
         source, label = key
         shared_attrs = tuple(
-            attr for attr in TrackedAttribute if len(by_attr.get(attr, [])) >= 2
+            attr for attr in TrackedAttribute if len(by_attr.get(attr, ())) >= 2
         )
         rows.append(
             CombinedGroup(

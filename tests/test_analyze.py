@@ -237,6 +237,14 @@ class TestCombinedGroups:
         rows = combined_groups([tagged])
         assert len(rows) == 1 and rows[0].flagged
 
+    def test_one_name_in_two_files_shares_no_attribute(self, joint_methods):
+        # A label carried by one method name is described by no two methods,
+        # even when that method is listed twice.
+        rows = combined_groups([joint_methods[0], joint_methods[0]])
+        assert [(r.members, r.attributes, r.flagged) for r in rows] == [
+            (("Link quality",), (), True)
+        ]
+
 
 class TestInconsistencyReport:
     def test_pervasive_pair(self, joint_methods):
