@@ -1,12 +1,14 @@
 """Coverage analytics, histograms, reports and the comparison matrix."""
 
 import dataclasses
+import json
 import random
+import shutil
 from fractions import Fraction
 
 import pytest
 
-from nihdl import analyze, dsl, model
+from nihdl import dsl, model
 from nihdl.analyze import (
     UnknownAttributeError,
     combined_groups,
@@ -17,10 +19,11 @@ from nihdl.analyze import (
     inconsistency_report,
     pattern_histogram,
 )
+from nihdl.cli import main
 from nihdl.model import Presence, TrackedAttribute, coverage
 from nihdl.taxonomy import list_leaves
 
-from conftest import GAP_FILE
+from conftest import CATALOG_FILE, DHCP_FILE, GAP_FILE
 from randgen import description
 
 
@@ -308,9 +311,13 @@ class TestComparisonMatrix:
                 assert cell == expected
 
 
-def test_stats_to_dict_shape(gap_method, dhcp_method, catalog):
-    stats = corpus_stats([gap_method, dhcp_method], catalog)
-    payload = analyze.stats_to_dict(stats)
+def test_stats_to_dict_shape(capsys, tmp_path):
+    (tmp_path / "descriptions").mkdir()
+    shutil.copy(CATALOG_FILE, tmp_path / "catalog.nihc")
+    shutil.copy(GAP_FILE, tmp_path / "descriptions")
+    shutil.copy(DHCP_FILE, tmp_path / "descriptions")
+    assert main(["stats", str(tmp_path), "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
     assert payload["total"] == 2
     assert set(payload) == {"total", "attributes", "by_year", "histogram", "unassigned"}
     assert payload["attributes"]["bandwidth"]["covered_pct"] == "100.0"
