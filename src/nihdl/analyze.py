@@ -304,114 +304,3 @@ def comparison_matrix(
     rows = [coverage(m) for m in methods]
     return [[_matrix_cell(m, row, i) for i in indexes] for m, row in zip(methods, rows)]
 
-
-# ---------------------------------------------------------------------------
-# Report rendering
-# ---------------------------------------------------------------------------
-
-def align_table(rows: list[list[str]], right: set[int] = frozenset()) -> list[str]:
-    """Space-aligned text rows; columns in ``right`` are right-justified."""
-    if not rows:
-        return []
-    widths = [0] * max(len(r) for r in rows)
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = []
-    for row in rows:
-        cells = [
-            cell.rjust(widths[i]) if i in right else cell.ljust(widths[i])
-            for i, cell in enumerate(row)
-        ]
-        lines.append("  ".join(cells).rstrip())
-    return lines
-
-
-def _pct(counts: AttributeCounts, suffix: str) -> str:
-    covered = counts.covered_percent()
-    return covered if covered == "n/a" else covered + suffix
-
-
-def attribute_table_rows(stats: CorpusStats, suffix: str = "%") -> list[list[str]]:
-    rows = [["attribute", "full", "partial", "absent", "covered"]]
-    for attr in TrackedAttribute:
-        counts = stats.attributes[attr]
-        rows.append([
-            attr.key,
-            str(counts.full),
-            str(counts.partial),
-            str(counts.absent),
-            _pct(counts, suffix),
-        ])
-    return rows
-
-
-def by_year_table_rows(stats: CorpusStats, suffix: str = "%") -> list[list[str]]:
-    rows = [["year", "methods"] + [attr.key for attr in TrackedAttribute]]
-    for year, year_stats in stats.by_year.items():
-        cells = ["unknown" if year is None else str(year), str(year_stats.total)]
-        for attr in TrackedAttribute:
-            cells.append(_pct(year_stats.attributes[attr], suffix))
-        rows.append(cells)
-    return rows
-
-
-def histogram_table_rows(stats: CorpusStats) -> list[list[str]]:
-    rows = [["pattern", "count"]]
-    for path, count in stats.histogram.items():
-        rows.append([path.text, str(count)])
-    rows.append(["unassigned", str(stats.unassigned)])
-    return rows
-
-
-def combined_table_rows(groups: list[CombinedGroup]) -> list[list[str]]:
-    rows = [["source", "label", "methods", "attributes", "note"]]
-    for group in groups:
-        rows.append([
-            group.source or "-",
-            group.label,
-            ", ".join(group.members),
-            ", ".join(a.key for a in group.attributes) or "-",
-            "single-method label" if group.flagged else "",
-        ])
-    return rows
-
-
-def inconsistency_table_rows(report: list[InconsistencyRow]) -> list[list[str]]:
-    rows = [["source", "attribute", "values"]]
-    for row in report:
-        values = ", ".join(f"{name}={p.name.lower()}" for name, p in row.presences)
-        rows.append([row.source, row.attribute.key, values])
-    return rows
-
-
-def stats_to_dict(stats: CorpusStats) -> dict:
-    """JSON-shaped structure: total, attributes, by_year, histogram, unassigned."""
-
-    def counts_dict(counts: AttributeCounts) -> dict:
-        covered = counts.covered_percent()
-        return {
-            "full": counts.full,
-            "partial": counts.partial,
-            "absent": counts.absent,
-            "covered_pct": None if covered == "n/a" else covered,
-        }
-
-    return {
-        "total": stats.total,
-        "attributes": {
-            attr.key: counts_dict(stats.attributes[attr]) for attr in TrackedAttribute
-        },
-        "by_year": {
-            "unknown" if year is None else str(year): {
-                "total": year_stats.total,
-                "attributes": {
-                    attr.key: counts_dict(year_stats.attributes[attr])
-                    for attr in TrackedAttribute
-                },
-            }
-            for year, year_stats in stats.by_year.items()
-        },
-        "histogram": {path.text: count for path, count in stats.histogram.items()},
-        "unassigned": stats.unassigned,
-    }

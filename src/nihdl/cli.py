@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
@@ -274,14 +273,49 @@ def cmd_tree(args) -> int:
 # stats
 # ---------------------------------------------------------------------------
 
-def _csv_text(tables: list[list[list[str]]]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    for i, rows in enumerate(tables):
-        if i:
-            buffer.write("\n")
-        writer.writerows(rows)
-    return buffer.getvalue()
+def _align(rows: list[list[str]], right: set[int]) -> list[str]:
+    """Space-aligned text rows; columns in ``right`` are right-justified."""
+    widths = [max(len(cell) for cell in column) for column in zip(*rows)]
+    lines = []
+    for row in rows:
+        cells = [
+            cell.rjust(width) if i in right else cell.ljust(width)
+            for i, (cell, width) in enumerate(zip(row, widths))
+        ]
+        lines.append("  ".join(cells).rstrip())
+    return lines
+
+
+def _print_sections(fmt: str, sections: list[tuple[str, list[list[str]], set[int]]],
+                    head: str | None = None) -> None:
+    """Print (title, rows, right-aligned columns) sections: as csv tables
+    separated by blank lines, or as aligned text under their titles, after
+    ``head``."""
+    if fmt == "csv":
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        for i, (_, rows, _) in enumerate(sections):
+            if i:
+                sys.stdout.write("\n")
+            writer.writerows(rows)
+        return
+    blocks = [] if head is None else [head]
+    for title, rows, right in sections:
+        table = "\n".join(_align(rows, right))
+        blocks.append(f"{title}:\n{table}" if title else table)
+    print("\n\n".join(blocks))
+
+
+def _attribute_counts(counts: dict[model.TrackedAttribute, analyze.AttributeCounts]) -> dict:
+    """Counts per tracked attribute; ``covered_pct`` is null when no method counts."""
+    return {
+        attr.key: {
+            "full": c.full,
+            "partial": c.partial,
+            "absent": c.absent,
+            "covered_pct": c.covered_percent() if c.total else None,
+        }
+        for attr, c in counts.items()
+    }
 
 
 def cmd_stats(args) -> int:
@@ -296,54 +330,77 @@ def cmd_stats(args) -> int:
     stats = analyze.corpus_stats(methods, catalog)
     status = _print_diagnostics(stats.diagnostics, status)
 
-    combined = analyze.combined_groups(methods) if args.combined else None
-    inconsistent = analyze.inconsistency_report(methods) if args.inconsistent else None
-
+    # The report is the JSON document; table and csv print sections of it.
+    report = {
+        "total": stats.total,
+        "attributes": _attribute_counts(stats.attributes),
+        "by_year": {
+            "unknown" if year is None else str(year): {
+                "total": year_stats.total,
+                "attributes": _attribute_counts(year_stats.attributes),
+            }
+            for year, year_stats in stats.by_year.items()
+        },
+        "histogram": {path.text: count for path, count in stats.histogram.items()},
+        "unassigned": stats.unassigned,
+    }
+    if args.combined:
+        report["combined"] = [
+            {
+                "source": g.source,
+                "label": g.label,
+                "methods": list(g.members),
+                "attributes": [a.key for a in g.attributes],
+                "single_method_label": g.flagged,
+            }
+            for g in analyze.combined_groups(methods)
+        ]
+    if args.inconsistent:
+        report["inconsistencies"] = [
+            {
+                "source": row.source,
+                "attribute": row.attribute.key,
+                "values": [[name, p.name.lower()] for name, p in row.presences],
+            }
+            for row in analyze.inconsistency_report(methods)
+        ]
     if args.format == "json":
-        payload = analyze.stats_to_dict(stats)
-        if combined is not None:
-            payload["combined"] = [
-                {
-                    "source": g.source,
-                    "label": g.label,
-                    "methods": list(g.members),
-                    "attributes": [a.key for a in g.attributes],
-                    "single_method_label": g.flagged,
-                }
-                for g in combined
-            ]
-        if inconsistent is not None:
-            payload["inconsistencies"] = [
-                {
-                    "source": row.source,
-                    "attribute": row.attribute.key,
-                    "values": [[name, p.name.lower()] for name, p in row.presences],
-                }
-                for row in inconsistent
-            ]
-        print(json.dumps(payload, indent=2))
-    else:
-        # (title, rows, right-aligned columns) of each section, in order.
-        suffix = "" if args.format == "csv" else "%"
-        sections = [("", analyze.attribute_table_rows(stats, suffix), {1, 2, 3, 4})]
-        if args.by_year:
-            sections.append(("by year", analyze.by_year_table_rows(stats, suffix),
-                             set(range(1, 8))))
-        if args.patterns:
-            sections.append(("patterns", analyze.histogram_table_rows(stats), {1}))
-        if combined is not None:
-            sections.append(("combined", analyze.combined_table_rows(combined), set()))
-        if inconsistent is not None:
-            sections.append(("inconsistencies",
-                             analyze.inconsistency_table_rows(inconsistent), set()))
-        if args.format == "csv":
-            print(_csv_text([rows for _, rows, _ in sections]), end="")
-        else:
-            blocks = [f"methods: {stats.total}"]
-            for title, rows, right in sections:
-                table = "\n".join(analyze.align_table(rows, right))
-                blocks.append(f"{title}:\n{table}" if title else table)
-            print("\n\n".join(blocks))
+        print(json.dumps(report, indent=2))
+        return status
+
+    suffix = "" if args.format == "csv" else "%"
+
+    def covered(counts: dict) -> str:
+        return "n/a" if counts["covered_pct"] is None else counts["covered_pct"] + suffix
+
+    keys = list(report["attributes"])
+    sections = [("", [["attribute", "full", "partial", "absent", "covered"]] + [
+        [key, str(c["full"]), str(c["partial"]), str(c["absent"]), covered(c)]
+        for key, c in report["attributes"].items()
+    ], {1, 2, 3, 4})]
+    if args.by_year:
+        sections.append(("by year", [["year", "methods", *keys]] + [
+            [year, str(y["total"]), *map(covered, y["attributes"].values())]
+            for year, y in report["by_year"].items()
+        ], set(range(1, len(keys) + 2))))
+    if args.patterns:
+        sections.append(("patterns", [["pattern", "count"]] + [
+            [path, str(count)] for path, count in report["histogram"].items()
+        ] + [["unassigned", str(report["unassigned"])]], {1}))
+    if args.combined:
+        sections.append(("combined", [["source", "label", "methods", "attributes", "note"]] + [
+            [g["source"] or "-", g["label"], ", ".join(g["methods"]),
+             ", ".join(g["attributes"]) or "-",
+             "single-method label" if g["single_method_label"] else ""]
+            for g in report["combined"]
+        ], set()))
+    if args.inconsistent:
+        sections.append(("inconsistencies", [["source", "attribute", "values"]] + [
+            [row["source"], row["attribute"],
+             ", ".join(f"{name}={presence}" for name, presence in row["values"])]
+            for row in report["inconsistencies"]
+        ], set()))
+    _print_sections(args.format, sections, f"methods: {report['total']}")
     return status
 
 
@@ -363,10 +420,7 @@ def cmd_compare(args) -> int:
     rows = [["method"] + attributes]
     for method, cells in zip(methods, matrix):
         rows.append([method.name] + cells)
-    if args.format == "csv":
-        print(_csv_text([rows]), end="")
-    else:
-        print("\n".join(analyze.align_table(rows)))
+    _print_sections(args.format, [("", rows, set())])
     return EXIT_OK
 
 
