@@ -16,10 +16,12 @@ Criteria:
 """
 
 import dataclasses
+import hashlib
 import itertools
 import random
 import shutil
 import time
+from collections import Counter
 from fractions import Fraction
 
 from nihdl import analyze, dsl, model, novelty, store
@@ -266,6 +268,21 @@ def test_c04_closure_of_parsed_mutants():
     # The count pins the stream: a shrunk or re-seeded stream fails here.
     assert parsed == 1176
     print(f"PASS criterion 4 closure: {parsed} parsed mutants round-tripped")
+
+
+def test_c04_diagnostics_of_mutants_are_pinned():
+    """The diagnostics of the c04 stream, byte for byte: a digest over every
+    rendered diagnostic and the count per code. A parser rewrite that keeps
+    behaviour keeps both."""
+    digest = hashlib.sha256()
+    per_code: Counter[str] = Counter()
+    for text, parse in _c04_mutants():
+        for diag in parse(text, "mutant")[1]:
+            digest.update((diag.render() + "\n").encode())
+            per_code[diag.code] += 1
+    assert per_code == {"E001": 6759, "E002": 1388, "E003": 23, "E004": 603, "E005": 51}
+    assert digest.hexdigest() == (
+        "88316c0cf9a8e50bec4978e24a9a86dde0e7a3f74d763b8a6ce159db4494fda9")
 
 
 def _synthetic_methods():
