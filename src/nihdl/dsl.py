@@ -8,6 +8,14 @@ or CRLF line endings; the serializer emits LF. A line feed or a lone
 carriage return ends a string before its closing quote (E002 at the
 opening quote), so every string that parses can be serialized again.
 
+Tokens are held in three parallel lists, with no object per token: kinds,
+texts and offsets into the normalized text. A kind is a short string:
+the punctuation character itself, or `string`, `integer`, `keyword`,
+`relation` or `end of input`. A string's text is its decoded value; an
+integer stays digits until a year reads it. The parser walks the lists
+by index, and line and column are worked out from an offset only when a
+location is needed.
+
 Parsing is total: any input yields either a value or error diagnostics
 with source locations, never an unhandled exception. Diagnostic codes:
 
@@ -33,7 +41,6 @@ values all walk it; it is the only place key order and optionality live.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
@@ -74,108 +81,65 @@ def normalize_document(doc: Document) -> Document:
 # Lexer
 # ---------------------------------------------------------------------------
 
-class TokenKind(Enum):
-    LBRACE = "{"
-    RBRACE = "}"
-    LBRACKET = "["
-    RBRACKET = "]"
-    LPAREN = "("
-    RPAREN = ")"
-    COLON = ":"
-    COMMA = ","
-    STRING = "string"
-    INT = "integer"
-    KEYWORD = "keyword"
-    RELATION = "relation"
-    EOF = "end of input"
-
-
-class Token:
-    """One token. ``offset`` indexes the normalized text; line and column
-    are derived from it only when a location is needed."""
-
-    __slots__ = ("kind", "text", "offset", "value")
-
-    def __init__(self, kind: TokenKind, text: str, offset: int,
-                 value: object = None) -> None:
-        self.kind = kind
-        self.text = text
-        self.offset = offset
-        self.value = value  # decoded string or int payload
-
-    def describe(self) -> str:
-        if self.kind is TokenKind.EOF:
-            return "end of input"
-        return repr(self.text)
-
-
 class _Fail(Exception):
     def __init__(self, diagnostic: Diagnostic) -> None:
         super().__init__(diagnostic.message)
         self.diagnostic = diagnostic
 
 
-_PUNCT = {
-    "{": TokenKind.LBRACE,
-    "}": TokenKind.RBRACE,
-    "[": TokenKind.LBRACKET,
-    "]": TokenKind.RBRACKET,
-    "(": TokenKind.LPAREN,
-    ")": TokenKind.RPAREN,
-    ":": TokenKind.COLON,
-    ",": TokenKind.COMMA,
-}
-
 # One match per token: skip blanks, newlines and comments, then take the
-# first alternative that matches. A backslash escapes only `"` and `\`;
+# first alternative that matches; its group names the token's kind, except
+# that punctuation is its own kind. A backslash escapes only `"` and `\`;
 # before any other character it is literal. Something always matches
-# after the skip (EOF or BAD), so the skip is never backtracked into.
+# after the skip (end or bad), so the skip is never backtracked into.
 _SCAN = re.compile(r"""
     [ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*
     (?:
-        (?P<RELATION>[1n]:[1m](?![A-Za-z0-9:_-]))
-      | (?P<PUNCT>[{}\[\]():,])
-      | (?P<STRING>"[^"\\\n\r]*(?:\\(?:["\\]|(?!["\\]))[^"\\\n\r]*)*")
-      | (?P<INT>[0-9]+)
-      | (?P<KEYWORD>[A-Za-z][A-Za-z0-9-]*)
-      | (?P<EOF>\Z)
-      | (?P<BAD>.)
+        (?P<relation>[1n]:[1m](?![A-Za-z0-9:_-]))
+      | (?P<punct>[{}\[\]():,])
+      | (?P<string>"[^"\\\n\r]*(?:\\(?:["\\]|(?!["\\]))[^"\\\n\r]*)*")
+      | (?P<integer>[0-9]+)
+      | (?P<keyword>[A-Za-z][A-Za-z0-9-]*)
+      | (?P<end>\Z)
+      | (?P<bad>.)
     )""", re.VERBOSE | re.DOTALL)
 _ESCAPE = re.compile(r'\\(["\\])')
-_NEWLINE = re.compile("\n")
+_END = "end of input"
 
 
-def _lex(text: str, locate: Callable[[int], SourceLocation]) -> list[Token]:
-    """Tokens of normalized ``text``, ending in EOF; ``locate`` maps an
-    offset to the SourceLocation of a lexical error."""
-    tokens: list[Token] = []
-    append = tokens.append
+def _lex(text: str, locate: Callable[[int], SourceLocation]
+         ) -> tuple[list[str], list[str], list[int]]:
+    """The kinds, texts and offsets of the tokens of normalized ``text``,
+    ending in end of input; ``locate`` maps an offset to the
+    SourceLocation of a lexical error."""
+    kinds: list[str] = []
+    texts: list[str] = []
+    offsets: list[int] = []
+    add_kind, add_text, add_offset = kinds.append, texts.append, offsets.append
     for m in _SCAN.finditer(text):
-        group = m.lastgroup
-        offset = m.start(group)
-        word = m[group]
-        if group == "KEYWORD":
-            append(Token(TokenKind.KEYWORD, word, offset))
-        elif group == "PUNCT":
-            append(Token(_PUNCT[word], word, offset))
-        elif group == "STRING":
-            value = word[1:-1]
-            if "\\" in value:
-                value = _ESCAPE.sub(r"\1", value)
-            append(Token(TokenKind.STRING, value, offset, value))
-        elif group == "INT":
-            append(Token(TokenKind.INT, word, offset, int(word)))
-        elif group == "RELATION":
-            append(Token(TokenKind.RELATION, word, offset))
-        elif group == "EOF":
-            append(Token(TokenKind.EOF, "", offset))
+        kind = m.lastgroup
+        offset = m.start(kind)
+        word = m[kind]
+        if kind == "punct":
+            kind = word
+        elif kind == "string":
+            word = word[1:-1]
+            if "\\" in word:
+                word = _ESCAPE.sub(r"\1", word)
+        elif kind == "end":
             break  # finditer would match the empty end once more
-        elif word == '"':
-            raise _Fail(Diagnostic("E002", "unterminated string", locate(offset)))
-        else:
+        elif kind == "bad":
+            if word == '"':
+                raise _Fail(Diagnostic("E002", "unterminated string", locate(offset)))
             raise _Fail(Diagnostic("E001", f"unexpected character {word!r}",
                                    locate(offset)))
-    return tokens
+        add_kind(kind)
+        add_text(word)
+        add_offset(offset)
+    add_kind(_END)
+    add_text("")
+    add_offset(len(text))  # `\Z` matches only there
+    return kinds, texts, offsets
 
 
 # ---------------------------------------------------------------------------
@@ -198,11 +162,11 @@ class _Kind:
     word = "key"  # how E005 names a missing required one
     unspecified: object = None  # the value written `unspecified`, if any
 
-    def take(self, p: _Parser, key: _Key, fields: dict, consumed: set[str]) -> Token | None:
-        """Consume the introducer if it is next; return the key's token."""
+    def take(self, p: _Parser, key: _Key, fields: dict, consumed: set[str]) -> int | None:
+        """Consume the introducer if it is next; return the key's index."""
         return p.take_key(key.name, consumed)
 
-    def parse(self, p: _Parser, key: _Key, fields: dict, tok: Token) -> object:
+    def parse(self, p: _Parser, key: _Key, fields: dict, at: int) -> object:
         raise NotImplementedError
 
     def text(self, value) -> str:
@@ -237,7 +201,7 @@ class _String(_Kind):
     def __init__(self, what: str | None = None) -> None:
         self.what = what  # how E001 names the expected value, if not by the key
 
-    def parse(self, p, key, fields, tok):
+    def parse(self, p, key, fields, at):
         return p.string_value(self.what or key.name)[0]
 
     def text(self, value):
@@ -247,10 +211,10 @@ class _String(_Kind):
 class _Shared(_Kind):
     """The non-empty label of a combined description."""
 
-    def parse(self, p, key, fields, tok):
-        label, label_tok = p.string_value(f"{key.name} label")
+    def parse(self, p, key, fields, at):
+        label, label_at = p.string_value(f"{key.name} label")
         if not label:
-            p.fail("E004", f"{key.name} label must be non-empty", label_tok)
+            p.fail("E004", f"{key.name} label must be non-empty", label_at)
         return model.SharedGroup(label)
 
     def text(self, value):
@@ -258,12 +222,15 @@ class _Shared(_Kind):
 
 
 class _Year(_Kind):
-    def parse(self, p, key, fields, tok):
-        year, year_tok = p.int_value(key.name)
-        if not model.YEAR_MIN <= year <= model.YEAR_MAX:
-            p.fail("E004", f"year out of range {model.YEAR_MIN}-{model.YEAR_MAX}: {year}",
-                   year_tok)
-        return year
+    def parse(self, p, key, fields, at):
+        year_at = p.expect("integer", key.name)
+        # No year has more than four digits, and int() refuses more than
+        # 4,300, so a longer number is out of range before it is read.
+        digits = p.texts[year_at].lstrip("0") or "0"
+        if len(digits) > 4 or not model.YEAR_MIN <= int(digits) <= model.YEAR_MAX:
+            p.fail("E004", f"year out of range {model.YEAR_MIN}-{model.YEAR_MAX}: {digits}",
+                   year_at)
+        return int(digits)
 
     def text(self, value):
         return str(value)
@@ -277,7 +244,7 @@ class _Enum(_Kind):
         self.names = {value: name for name, value in mapping.items()}
         self.unspecified = mapping.get("unspecified")
 
-    def parse(self, p, key, fields, tok):
+    def parse(self, p, key, fields, at):
         return p.enum_value(self.mapping, key.name)
 
     def text(self, value):
@@ -295,13 +262,13 @@ def _enum(cls: type[Enum], kind: type[_Enum] = _Enum) -> _Enum:
 class _EnumList(_Enum):
     """`key: [a, b]`: a non-empty set of vocabulary values."""
 
-    def parse(self, p, key, fields, tok):
-        p.expect(TokenKind.LBRACKET, "'['")
+    def parse(self, p, key, fields, at):
+        p.expect("[")
         values = [p.enum_member(self.mapping, key.name, ())]
-        while p.cur.kind is TokenKind.COMMA:
+        while p.kind == ",":
             p.advance()
             values.append(p.enum_member(self.mapping, key.name, values))
-        p.expect(TokenKind.RBRACKET, "']'")
+        p.expect("]")
         return frozenset(values)
 
     def text(self, value):
@@ -317,7 +284,7 @@ class _Features(_Enum):
             p.fail("E001", "an absent control protocol cannot list features")
         return super().take(p, key, fields, consumed)
 
-    def parse(self, p, key, fields, tok):
+    def parse(self, p, key, fields, at):
         return p.enum_member(self.mapping, key.name, fields[key.field])
 
     def collect(self, items):
@@ -334,17 +301,16 @@ class _Binding(_Kind):
     kinds = {kind.value: kind for kind in model.BindingKind}
     unspecified = model.CarrierBinding.unspecified()
 
-    def parse(self, p, key, fields, tok):
+    def parse(self, p, key, fields, at):
         kind = p.enum_value(self.kinds, key.name)
         if kind in (model.BindingKind.GENERIC, model.BindingKind.UNSPECIFIED):
             return model.CarrierBinding(kind)
-        p.expect(TokenKind.LPAREN, "'('")
+        p.expect("(")
         names = [p.string_value("name")[0]]
-        while p.cur.kind is TokenKind.COMMA:
+        while p.kind == ",":
             p.advance()
             names.append(p.string_value("name")[0])
-        close = p.cur
-        p.expect(TokenKind.RPAREN, "')'")
+        close = p.expect(")")
         if kind is model.BindingKind.SINGLE_PROTOCOL and len(names) != 1:
             p.fail("E005", f"{kind.value} takes exactly one protocol", close)
         if kind is model.BindingKind.PROTOCOL_SET and len(names) < 2:
@@ -367,13 +333,13 @@ class _Directness(_Kind):
     kinds = {kind.value: kind for kind in model.DirectnessKind}
     unspecified = model.Directness.unspecified()
 
-    def parse(self, p, key, fields, tok):
+    def parse(self, p, key, fields, at):
         kind = p.enum_value(self.kinds, key.name)
         if kind is not model.DirectnessKind.INDIRECT:
             return model.Directness(kind)
-        p.expect(TokenKind.LPAREN, "'('")
+        p.expect("(")
         requirements, _ = p.string_value("intermediary requirements")
-        p.expect(TokenKind.RPAREN, "')'")
+        p.expect(")")
         return model.Directness(kind, requirements)
 
     def text(self, value):
@@ -385,15 +351,15 @@ class _Directness(_Kind):
 class _Path(_Kind):
     """`unassigned`, or a quoted pattern path."""
 
-    def parse(self, p, key, fields, tok):
+    def parse(self, p, key, fields, at):
         if p.at_keyword(UNASSIGNED.text):
             p.advance()
             return UNASSIGNED
-        text, text_tok = p.string_value("pattern path")
+        text, text_at = p.string_value("pattern path")
         try:
             return PatternPath.from_text(text)
         except InvalidNameError as exc:
-            p.fail("E004", f"malformed pattern path: {exc}", text_tok)
+            p.fail("E004", f"malformed pattern path: {exc}", text_at)
 
     def text(self, value):
         return value.text if value.unassigned else _quote(value.text)
@@ -406,13 +372,13 @@ class _Justify(_Kind):
     def take(self, p, key, fields, consumed):
         return p.advance() if p.at_keyword(key.name) else None
 
-    def parse(self, p, key, fields, tok):
-        element, element_tok = p.string_value("path element")
+    def parse(self, p, key, fields, at):
+        element, element_at = p.string_value("path element")
         path = fields["path"]
         if not path.unassigned and element not in path.elements:
             p.fail("E004", f"{key.name} names {element!r}, which is not on the path",
-                   element_tok)
-        p.expect(TokenKind.COLON, "':'")
+                   element_at)
+        p.expect(":")
         rationale, _ = p.string_value("justification")
         return model.Justification(element, rationale)
 
@@ -427,11 +393,11 @@ class _Ref(_Enum):
         super().__init__({"countermeasures": True})
         self.allowed = allowed
 
-    def parse(self, p, key, fields, tok):
-        value = super().parse(p, key, fields, tok)
+    def parse(self, p, key, fields, at):
+        value = super().parse(p, key, fields, at)
         if not self.allowed:
             p.fail("E005", "ref: countermeasures is only allowed on the undetectability "
-                           "metric", tok)
+                           "metric", at)
         return value
 
     def emit(self, w, key, value):
@@ -455,7 +421,7 @@ class _Block(_Kind):
         # out of order, not a duplicate.
         return p.take_block(key.name, set() if key.need is _REPEATED else consumed)
 
-    def parse(self, p, key, fields, tok):
+    def parse(self, p, key, fields, at):
         block_fields = p.parse_block(self)
         return block_fields if self.make is None else self.make(**block_fields)
 
@@ -607,41 +573,56 @@ def _unspecified_keys(m: model.MethodDescription) -> list[str]:
 # ---------------------------------------------------------------------------
 
 class _Parser:
-    def __init__(self, text: str, file_name: str) -> None:
-        self.text = text.removeprefix("\ufeff").replace("\r\n", "\n")
-        self.file = file_name
-        self._line_starts: list[int] | None = None
-        self.tokens = _lex(self.text, self.locate)
-        self.pos = 0
-        self.cur = self.tokens[0]
+    """Reads the token lists of one text. ``pos`` indexes the current token,
+    and ``kind`` and ``text`` are its kind and text."""
 
-    def advance(self) -> Token:
-        tok = self.cur
-        if tok.kind is not TokenKind.EOF:
-            self.pos += 1
-            self.cur = self.tokens[self.pos]
-        return tok
+    def __init__(self, text: str, file_name: str) -> None:
+        self.source = text.removeprefix("\ufeff").replace("\r\n", "\n")
+        self.file = file_name
+        self._located = (1, 0, 0)  # line, its start, offset of the last location
+        self.kinds, self.texts, self.offsets = _lex(self.source, self.locate)
+        self.pos = 0
+        self.kind = self.kinds[0]
+        self.text = self.texts[0]
+
+    def advance(self) -> int:
+        """Step past the current token unless it ends the input; return its index."""
+        at = self.pos
+        if self.kind != _END:
+            self.pos = at + 1
+            self.kind = self.kinds[at + 1]
+            self.text = self.texts[at + 1]
+        return at
 
     def locate(self, offset: int) -> SourceLocation:
-        """Line and column of an offset into the normalized text."""
-        if self._line_starts is None:
-            self._line_starts = [0] + [m.end() for m in _NEWLINE.finditer(self.text)]
-        line = bisect_right(self._line_starts, offset)
-        return SourceLocation(self.file, line, offset - self._line_starts[line - 1] + 1)
+        """Line and column of an offset into the normalized text. Methods
+        are located in file order, so lines are counted on from the last
+        offset located when it is no later."""
+        line, start, last = self._located if self._located[2] <= offset else (1, 0, 0)
+        line += self.source.count("\n", last, offset)
+        start = max(start, self.source.rfind("\n", last, offset) + 1)
+        self._located = (line, start, offset)
+        return SourceLocation(self.file, line, offset - start + 1)
 
-    def loc(self, tok: Token | None = None) -> SourceLocation:
-        return self.locate((tok or self.cur).offset)
+    def loc(self, at: int | None = None) -> SourceLocation:
+        return self.locate(self.offsets[self.pos if at is None else at])
 
-    def fail(self, code: str, message: str, tok: Token | None = None) -> None:
-        raise _Fail(Diagnostic(code, message, self.loc(tok)))
+    def describe(self) -> str:
+        """The current token as a diagnostic names it."""
+        return _END if self.kind == _END else repr(self.text)
 
-    def expect(self, kind: TokenKind, what: str) -> Token:
-        if self.cur.kind is not kind:
-            self.fail("E001", f"expected {what}, found {self.cur.describe()}")
+    def fail(self, code: str, message: str, at: int | None = None) -> None:
+        raise _Fail(Diagnostic(code, message, self.loc(at)))
+
+    def expect(self, kind: str, what: str | None = None) -> int:
+        """Consume a token of ``kind``, which E001 names as ``what`` or
+        quoted; return its index."""
+        if self.kind != kind:
+            self.fail("E001", f"expected {what or repr(kind)}, found {self.describe()}")
         return self.advance()
 
     def at_keyword(self, word: str) -> bool:
-        return self.cur.kind is TokenKind.KEYWORD and self.cur.text == word
+        return self.text == word and self.kind == "keyword"
 
     # -- key sequencing -----------------------------------------------------
 
@@ -652,44 +633,38 @@ class _Parser:
         ``missing`` names a required key/block when one is due here; a
         closing brace is then E005, otherwise E001.
         """
-        tok = self.cur
-        if tok.kind is TokenKind.EOF:
+        kind, text = self.kind, self.text
+        if kind == _END:
             self.fail("E001", "unexpected end of input")
-        if tok.kind is TokenKind.KEYWORD:
-            if tok.text in consumed:
-                self.fail("E003", f"duplicate key {tok.text!r} in block")
-            if tok.text in known and missing:
+        if kind == "keyword":
+            if text in consumed:
+                self.fail("E003", f"duplicate key {text!r} in block")
+            if text in known and missing:
                 self.fail("E005", f"missing required {missing}")
-            if tok.text in known:
-                self.fail("E001", f"key {tok.text!r} out of canonical order")
-            self.fail("E001", f"unknown key {tok.text!r}")
+            if text in known:
+                self.fail("E001", f"key {text!r} out of canonical order")
+            self.fail("E001", f"unknown key {text!r}")
         if missing:
             self.fail("E005", f"missing required {missing}")
-        self.fail("E001", f"unexpected token {tok.describe()}")
+        self.fail("E001", f"unexpected token {self.describe()}")
 
-    def take_key(self, key: str, consumed: set[str]) -> Token | None:
+    def take_key(self, key: str, consumed: set[str]) -> int | None:
         """Consume an optional ``key:`` introducer if it is next."""
         if self.at_keyword(key):
-            tok = self.advance()
-            self.expect(TokenKind.COLON, "':'")
+            at = self.advance()
+            self.expect(":")
             consumed.add(key)
-            return tok
+            return at
         return None
 
-    def take_block(self, name: str, consumed: set[str]) -> Token | None:
+    def take_block(self, name: str, consumed: set[str]) -> int | None:
         """Consume an optional ``name {`` block opener if it is next."""
         if self.at_keyword(name):
-            tok = self.advance()
-            self.expect(TokenKind.LBRACE, "'{'")
+            at = self.advance()
+            self.expect("{")
             consumed.add(name)
-            return tok
+            return at
         return None
-
-    def end_block(self, known: set[str], consumed: set[str]) -> None:
-        if self.cur.kind is TokenKind.RBRACE:
-            self.advance()
-            return
-        self._surprise(known, consumed, None)
 
     def parse_block(self, block: _Block) -> dict[str, object]:
         """A block's keys in table order, through its closing brace, as
@@ -700,51 +675,43 @@ class _Parser:
             kind = key.kind
             if key.need is _REPEATED:
                 items = fields[key.field] = []
-                while tok := kind.take(self, key, fields, consumed):
-                    items.append(kind.parse(self, key, fields, tok))
+                while (at := kind.take(self, key, fields, consumed)) is not None:
+                    items.append(kind.parse(self, key, fields, at))
                 fields[key.field] = kind.collect(items)
                 continue
             # Every kind takes a key only at its own word; testing that first
             # saves the calls for the many optional keys that are left out.
-            tok = self.cur.text == key.name and kind.take(self, key, fields, consumed)
-            if tok:
-                value = kind.parse(self, key, fields, tok)
+            if self.text == key.name and (
+                    at := kind.take(self, key, fields, consumed)) is not None:
+                value = kind.parse(self, key, fields, at)
                 if key.field is None:
                     fields.update(value)
                 else:
                     fields[key.field] = value
             elif key.need is _REQUIRED:
                 self._surprise(block.known, consumed, f"{kind.word} {key.name!r}")
-        self.end_block(block.known, consumed)
+        if self.kind != "}":
+            self._surprise(block.known, consumed, None)
+        self.advance()
         return fields
 
     # -- scalar values ------------------------------------------------------
 
-    def string_value(self, what: str = "string") -> tuple[str, Token]:
-        if self.cur.kind is not TokenKind.STRING:
-            self.fail("E001", f"expected {what}, found {self.cur.describe()}")
-        tok = self.advance()
-        return str(tok.value), tok
-
-    def int_value(self, what: str = "integer") -> tuple[int, Token]:
-        if self.cur.kind is not TokenKind.INT:
-            self.fail("E001", f"expected {what}, found {self.cur.describe()}")
-        tok = self.advance()
-        return int(tok.value), tok  # type: ignore[arg-type]
+    def string_value(self, what: str) -> tuple[str, int]:
+        at = self.expect("string", what)
+        return self.texts[at], at
 
     def enum_value(self, mapping: dict, what: str):
-        tok = self.cur
-        if tok.kind in (TokenKind.KEYWORD, TokenKind.RELATION) and tok.text in mapping:
-            self.advance()
-            return mapping[tok.text]
-        self.fail("E004", f"unknown enumeration token {tok.describe()} for {what}")
+        if self.kind in ("keyword", "relation") and self.text in mapping:
+            return mapping[self.texts[self.advance()]]
+        self.fail("E004", f"unknown enumeration token {self.describe()} for {what}")
 
     def enum_member(self, mapping: dict, what: str, seen):
         """An enumeration value that is not in ``seen`` yet."""
-        tok = self.cur
+        at = self.pos
         value = self.enum_value(mapping, what)
         if value in seen:
-            self.fail("E003", f"duplicate {what} {tok.text!r}", tok)
+            self.fail("E003", f"duplicate {what} {self.texts[at]!r}", at)
         return value
 
     # -- description grammar ------------------------------------------------
@@ -752,14 +719,14 @@ class _Parser:
     def parse_document(self) -> Document:
         self._skip_version_header()
         methods = []
-        while self.cur.kind is not TokenKind.EOF:
+        while self.kind != _END:
             if not self.at_keyword(_METHOD_WORD):
-                self.fail("E001", f"expected {_METHOD_WORD!r}, found {self.cur.describe()}")
+                self.fail("E001", f"expected {_METHOD_WORD!r}, found {self.describe()}")
             start = self.advance()
-            name, name_tok = self.string_value("method name")
+            name, name_at = self.string_value("method name")
             if not name:
-                self.fail("E004", "method name must be non-empty", name_tok)
-            self.expect(TokenKind.LBRACE, "'{'")
+                self.fail("E004", "method name must be non-empty", name_at)
+            self.expect("{")
             fields = self.parse_block(_METHOD)
             try:
                 methods.append(_METHOD.make(name=name, location=self.loc(start), **fields))
@@ -772,21 +739,21 @@ class _Parser:
     def _skip_version_header(self) -> None:
         if self.at_keyword("nihdl-version"):
             self.advance()
-            self.int_value("version number")
+            self.expect("integer", "version number")
 
     # -- catalog grammar ----------------------------------------------------
     def parse_catalog_file(self) -> PatternCatalog:
         self._skip_version_header()
         if not self.at_keyword("catalog"):
-            self.fail("E001", f"expected 'catalog', found {self.cur.describe()}")
+            self.fail("E001", f"expected 'catalog', found {self.describe()}")
         self.advance()
         label = None
-        if self.cur.kind is TokenKind.STRING:
-            label = str(self.advance().value)
-        self.expect(TokenKind.LBRACE, "'{'")
+        if self.kind == "string":
+            label = self.texts[self.advance()]
+        self.expect("{")
         roots = self.parse_nodes(depth=1)
-        self.expect(TokenKind.RBRACE, "'}'")
-        self.expect(TokenKind.EOF, "end of input")
+        self.expect("}")
+        self.expect(_END, _END)
         return PatternCatalog(roots=roots, label=label)
 
     def parse_nodes(self, depth: int) -> tuple[PatternNode, ...]:
@@ -796,17 +763,17 @@ class _Parser:
         seen: set[str] = set()
         while self.at_keyword("node"):
             self.advance()
-            name, name_tok = self.string_value("node name")
+            name, name_at = self.string_value("node name")
             try:
                 PatternNode(name)
             except InvalidNameError as exc:
-                self.fail("E004", str(exc), name_tok)
+                self.fail("E004", str(exc), name_at)
             if name in seen:
-                self.fail("E003", f"duplicate sibling node {name!r}", name_tok)
+                self.fail("E003", f"duplicate sibling node {name!r}", name_at)
             seen.add(name)
-            self.expect(TokenKind.LBRACE, "'{'")
+            self.expect("{")
             children = self.parse_nodes(depth + 1)
-            self.expect(TokenKind.RBRACE, "'}'")
+            self.expect("}")
             nodes.append(PatternNode(name, children))
         return tuple(nodes)
 

@@ -444,13 +444,15 @@ def test_help_exits_zero(capsys):
 # Hostile inputs for every subcommand: none may end in a traceback. Each
 # argv names placeholders that the ``hostile`` fixture fills in: a
 # directory where a file is expected, a file that is not UTF-8, a
-# description that does not parse, corpora without content, and
-# catalog-add values that cannot be stored; a few omit a required
-# --catalog. Each case's stderr is pinned in tests/golden/hostile_stderr.txt.
+# description that does not parse, a year with more digits than int()
+# reads, corpora without content, and catalog-add values that cannot be
+# stored; a few omit a required --catalog. Each case's stderr is pinned in
+# tests/golden/hostile_stderr.txt.
 HOSTILE_CASES = [
     ("validate-directory", ["validate", "{directory}", "--catalog", "{catalog}"], 2),
     ("validate-not-utf8", ["validate", "{latin1}", "--catalog", "{catalog}"], 2),
     ("validate-malformed", ["validate", "{malformed}", "--catalog", "{catalog}"], 1),
+    ("validate-huge-year", ["validate", "{huge_year}", "--catalog", "{catalog}"], 1),
     ("validate-catalog-directory", ["validate", "{gap}", "--catalog", "{directory}"], 2),
     ("validate-catalog-not-utf8", ["validate", "{gap}", "--catalog", "{latin1}"], 2),
     ("validate-without-catalog", ["validate", "{gap}"], 2),
@@ -524,6 +526,8 @@ def hostile(tmp_path):
     latin1.write_bytes(b'method "caf\xe9" {\n')
     malformed = tmp_path / "malformed.nihd"
     malformed.write_text(GAP_FILE.read_text().replace("      relation: 1:1\n", ""))
+    huge_year = tmp_path / "huge_year.nihd"
+    huge_year.write_text(GAP_FILE.read_text().replace("year: 2008", "year: " + "9" * 4301))
     catalog = tmp_path / "catalog.nihc"
     shutil.copy(CATALOG_FILE, catalog)
     why = tmp_path / "why.txt"
@@ -540,7 +544,8 @@ def hostile(tmp_path):
     latin1_catalog_corpus = tmp_path / "latin1-catalog"
     shutil.copytree(empty_corpus, latin1_catalog_corpus)
     shutil.copy(latin1, latin1_catalog_corpus / "catalog.nihc")
-    paths = dict(directory=directory, latin1=latin1, malformed=malformed, catalog=catalog,
+    paths = dict(directory=directory, latin1=latin1, malformed=malformed,
+                 huge_year=huge_year, catalog=catalog,
                  why=why, empty_corpus=empty_corpus, hostile_corpus=hostile_corpus,
                  latin1_catalog_corpus=latin1_catalog_corpus, gap=GAP_FILE)
     return {name: str(path) for name, path in paths.items()}

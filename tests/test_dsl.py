@@ -153,6 +153,7 @@ class TestParseDescription:
 
 
 _BAD_AT = "unexpected character '@'"
+_HUGE = "9" * 5000  # more digits than int() reads
 
 
 @pytest.mark.parametrize("text, code, message, line, column", [
@@ -167,11 +168,14 @@ _BAD_AT = "unexpected character '@'"
     ('method "a\\\rb" {', "E002", "unterminated string", 1, 8),
     ('method "x" {\n  source: "s"', "E001", "unexpected end of input", 2, 14),
     ('method "x" {\n  source: "s"\n', "E001", "unexpected end of input", 3, 1),
+    (f'method "x" {{ year: {_HUGE} }}', "E004",
+     f"year out of range 1980-2100: {_HUGE}", 1, 20),
+    (f"\n {_HUGE}", "E001", f"expected 'method', found '{_HUGE}'", 2, 2),
 ], ids=[
     "after-tab", "after-comment", "after-crlf-lines", "after-bom",
     "string-cut-by-newline", "string-cut-by-end", "string-cut-after-escaped-quote",
     "string-cut-by-lone-cr", "string-cut-by-cr-after-backslash",
-    "end-of-input", "end-of-input-after-newline",
+    "end-of-input", "end-of-input-after-newline", "huge-year", "huge-stray-integer",
 ])
 def test_lexer_diagnostic_location(text, code, message, line, column):
     doc, diags = dsl.parse_description(text, "t")
@@ -179,6 +183,12 @@ def test_lexer_diagnostic_location(text, code, message, line, column):
     assert [(d.code, d.message, d.location.line, d.location.column) for d in diags] == [
         (code, message, line, column)
     ]
+
+
+_KIND_NAMES = {"{": "LBRACE", "}": "RBRACE", "[": "LBRACKET", "]": "RBRACKET",
+               "(": "LPAREN", ")": "RPAREN", ":": "COLON", ",": "COMMA",
+               "string": "STRING", "integer": "INT", "keyword": "KEYWORD",
+               "relation": "RELATION", "end of input": "EOF"}
 
 
 @pytest.mark.parametrize("text, tokens", [
@@ -197,9 +207,12 @@ def test_lexer_diagnostic_location(text, code, message, line, column):
         "int-then-keyword", "escapes", "backslash-before-other-is-literal"])
 def test_lexer_tokens(text, tokens):
     parser = dsl._Parser(text, "t")
-    located = [(t, parser.locate(t.offset)) for t in parser.tokens]
-    assert [(t.kind.name, t.text, loc.line, loc.column, t.value)
-            for t, loc in located] == tokens
+    rows = []
+    for kind, word, offset in zip(parser.kinds, parser.texts, parser.offsets):
+        loc = parser.locate(offset)
+        value = int(word) if kind == "integer" else word if kind == "string" else None
+        rows.append((_KIND_NAMES[kind], word, loc.line, loc.column, value))
+    assert rows == tokens
 
 
 class TestParseCatalog:
@@ -220,6 +233,10 @@ class TestParseCatalog:
         )
         assert catalog is None
         assert codes(diags) == ["E003"]
+
+    def test_huge_version_number_is_skipped(self):
+        catalog, diags = dsl.parse_catalog(f"nihdl-version {_HUGE} catalog {{}}", "t")
+        assert diags == [] and catalog.is_empty
 
     def test_label(self):
         catalog, _ = dsl.parse_catalog('catalog "mine" { node "A" {} }', "t")
