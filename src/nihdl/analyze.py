@@ -25,13 +25,8 @@ from .model import (
     TrackedAttribute,
     coverage,
 )
-from .taxonomy import (
-    PatternCatalog,
-    PatternPath,
-    ResolutionKind,
-    list_leaves,
-    resolve_path,
-)
+from .taxonomy import PatternCatalog, PatternPath, list_leaves
+from .validate import unresolved_path
 
 
 class UnknownAttributeError(ValueError):
@@ -142,27 +137,15 @@ def pattern_histogram(
     unassigned = 0
     raw: dict[PatternPath, int] = {}
     diagnostics: list[Diagnostic] = []
-    unresolved: set[PatternPath] = set()
     for m in methods:
         path = m.pattern.path
         if path.unassigned:
             unassigned += 1
             continue
+        if path not in raw and (unresolved := unresolved_path(catalog, path)):
+            diagnostics.append(Diagnostic(*unresolved, location=m.location,
+                                          method_name=m.name))
         raw[path] = raw.get(path, 0) + 1
-        if path not in unresolved:
-            resolution = resolve_path(catalog, path)
-            if resolution.kind is ResolutionKind.NOT_FOUND:
-                unresolved.add(path)
-                diagnostics.append(
-                    Diagnostic("E110", f"pattern path not found in catalog: {path.text}",
-                               location=m.location, method_name=m.name)
-                )
-            elif resolution.kind is ResolutionKind.INTERNAL:
-                unresolved.add(path)
-                diagnostics.append(
-                    Diagnostic("E111", f"pattern path is not a leaf: {path.text}",
-                               location=m.location, method_name=m.name)
-                )
     counts: dict[PatternPath, int] = {}
     for leaf in list_leaves(catalog):
         if leaf in raw:

@@ -35,7 +35,19 @@ from enum import Enum
 from . import model
 from .diagnostics import Diagnostic, sort_key
 from .dsl import Document, _unspecified_keys
-from .taxonomy import PatternCatalog, ResolutionKind, resolve_path
+from .taxonomy import PatternCatalog, PatternPath, ResolutionKind, resolve_path
+
+
+def unresolved_path(catalog: PatternCatalog, path: PatternPath) -> tuple[str, str] | None:
+    """The E110 or E111 code and message for a stated path that does not end
+    at a catalog leaf, or None when it does. The message ends in ``: `` and
+    the full path."""
+    kind = resolve_path(catalog, path).kind
+    if kind is ResolutionKind.NOT_FOUND:
+        return "E110", f"pattern path not found in catalog: {path.text}"
+    if kind is ResolutionKind.INTERNAL:
+        return "E111", f"pattern path is not a leaf: {path.text}"
+    return None
 
 
 class ValidationMode(Enum):
@@ -65,12 +77,8 @@ def validate(
         if not any(j.rationale.strip() for j in d.pattern.justifications):
             report("E112", "unassigned pattern requires a justification")
     else:
-        resolution = resolve_path(catalog, path)
-        if resolution.kind is ResolutionKind.NOT_FOUND:
-            failed = path.elements[resolution.failed_index]
-            report("E110", f"pattern path not found in catalog at {failed!r}")
-        elif resolution.kind is ResolutionKind.INTERNAL:
-            report("E111", f"pattern path stops at internal node {path.elements[-1]!r}")
+        if unresolved := unresolved_path(catalog, path):
+            report(*unresolved)
         justified = {j.element for j in d.pattern.justifications if j.rationale.strip()}
         for element in path.elements:
             if element not in justified:

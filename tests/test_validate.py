@@ -6,6 +6,7 @@ import random
 import pytest
 
 from nihdl import dsl, model
+from nihdl.analyze import pattern_histogram
 from nihdl.diagnostics import Severity
 from nihdl.taxonomy import PatternCatalog, PatternPath, UNASSIGNED
 from nihdl.validate import ValidationMode, validate, validate_document
@@ -61,6 +62,22 @@ class TestPatternRules:
     def test_e111_internal_path(self, gap_method, catalog):
         bad = with_pattern(gap_method, PatternPath.of("Network Covert Storage Channels"))
         assert error_codes(validate(bad, catalog)) == ["E111"]
+
+    def test_e110_e111_worded_as_in_the_histogram(self, gap_method, catalog):
+        unknown = PatternPath.of("Network Covert Storage Channels", "Nope")
+        internal = PatternPath.of("Network Covert Storage Channels")
+        doc = dsl.Document(methods=(
+            dataclasses.replace(with_pattern(gap_method, unknown), name="a"),
+            dataclasses.replace(with_pattern(gap_method, internal), name="b"),
+        ))
+        found = [(d.code, d.message) for d in validate_document(doc, catalog)
+                 if d.code in ("E110", "E111")]
+        assert found == [
+            ("E110", "pattern path not found in catalog: Network Covert Storage Channels / Nope"),
+            ("E111", "pattern path is not a leaf: Network Covert Storage Channels"),
+        ]
+        _, _, histogram_diags = pattern_histogram(list(doc.methods), catalog)
+        assert [(d.code, d.message) for d in histogram_diags] == found
 
     def test_e112_unassigned_without_justification(self, gap_method, catalog):
         bad = dataclasses.replace(
