@@ -410,7 +410,8 @@ class TestCatalogAddCommand:
         capsys.readouterr()
         code, _, err = run(capsys, argv)
         assert code == 1
-        assert "DuplicateChild" in err
+        assert err == ("DuplicateChildError: 'Network Covert Timing Channels' "
+                       "already has a child named 'Rate Pattern'\n")
 
     def test_empty_justification_is_usage_error(self, capsys, tmp_path):
         catalog_path, justification = self._setup(tmp_path)
@@ -430,7 +431,7 @@ class TestCatalogAddCommand:
             "--name", "Rate Pattern", "--justification", str(justification),
         ])
         assert code == 1
-        assert "ParentNotFound" in err
+        assert err == "ParentNotFoundError: parent path not in catalog: No Such Node\n"
 
 
 def test_usage_error_for_unknown_command(capsys):

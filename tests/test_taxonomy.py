@@ -134,7 +134,11 @@ class TestExtendCatalog:
 
     def test_duplicate_child(self, catalog):
         parent = PatternPath.of("Network Covert Timing Channels")
-        with pytest.raises(DuplicateChildError):
+        with pytest.raises(
+            DuplicateChildError,
+            match="^'Network Covert Timing Channels' already has a child named "
+                  "'Inter-arrival Time Pattern'$",
+        ):
             extend_catalog(catalog, parent, "Inter-arrival Time Pattern")
 
     def test_second_extension_with_same_name_fails(self, catalog):
@@ -144,7 +148,8 @@ class TestExtendCatalog:
             extend_catalog(extended, parent, "Rate Pattern")
 
     def test_parent_not_found(self, catalog):
-        with pytest.raises(ParentNotFoundError):
+        with pytest.raises(ParentNotFoundError,
+                           match="^parent path not in catalog: Nope$"):
             extend_catalog(catalog, PatternPath.of("Nope"), "Child")
 
     def test_invalid_name(self, catalog):
@@ -186,11 +191,11 @@ class TestListLeaves:
 
 class TestInvariants:
     def test_duplicate_children_rejected(self):
-        with pytest.raises(DuplicateChildError):
+        with pytest.raises(DuplicateChildError, match="^duplicate child 'A' under 'P'$"):
             PatternNode("P", (PatternNode("A"), PatternNode("A")))
 
     def test_duplicate_roots_rejected(self):
-        with pytest.raises(DuplicateChildError):
+        with pytest.raises(DuplicateChildError, match="^duplicate root 'A'$"):
             PatternCatalog(roots=(PatternNode("A"), PatternNode("A")))
 
     def test_name_rules(self):
