@@ -56,7 +56,6 @@ from .taxonomy import (
 )
 
 DESCRIPTION_SUFFIX = ".nihd"
-CATALOG_SUFFIX = ".nihc"
 
 _METHOD_WORD = "method"
 _MAX_CATALOG_DEPTH = 64
@@ -160,11 +159,12 @@ class _Kind:
     written back. The base form is one `key: value` line."""
 
     word = "key"  # how E005 names a missing required one
+    opener: str | None = ":"  # the token after the key, if any
     unspecified: object = None  # the value written `unspecified`, if any
 
     def take(self, p: _Parser, key: _Key, fields: dict, consumed: set[str]) -> int | None:
         """Consume the introducer if it is next; return the key's index."""
-        return p.take_key(key.name, consumed)
+        return p.take(key.name, self.opener, consumed)
 
     def parse(self, p: _Parser, key: _Key, fields: dict, at: int) -> object:
         raise NotImplementedError
@@ -369,8 +369,7 @@ class _Justify(_Kind):
     """`key "element": "rationale"` for an element on the parsed path; no
     colon follows the key."""
 
-    def take(self, p, key, fields, consumed):
-        return p.advance() if p.at_keyword(key.name) else None
+    opener = None
 
     def parse(self, p, key, fields, at):
         element, element_at = p.string_value("path element")
@@ -410,6 +409,7 @@ class _Block(_Kind):
     model value from the fields; without it they join the parent's."""
 
     word = "block"
+    opener = "{"
 
     def __init__(self, make: Callable | None, *keys: _Key) -> None:
         self.make = make
@@ -419,7 +419,7 @@ class _Block(_Kind):
     def take(self, p, key, fields, consumed):
         # A repeated block is not recorded: one that follows a later key is
         # out of order, not a duplicate.
-        return p.take_block(key.name, set() if key.need is _REPEATED else consumed)
+        return p.take(key.name, self.opener, set() if key.need is _REPEATED else consumed)
 
     def parse(self, p, key, fields, at):
         block_fields = p.parse_block(self)
@@ -648,21 +648,14 @@ class _Parser:
             self.fail("E005", f"missing required {missing}")
         self.fail("E001", f"unexpected token {self.describe()}")
 
-    def take_key(self, key: str, consumed: set[str]) -> int | None:
-        """Consume an optional ``key:`` introducer if it is next."""
-        if self.at_keyword(key):
+    def take(self, word: str, opener: str | None, consumed: set[str]) -> int | None:
+        """Consume ``word`` and its ``opener``, if any, when the word is next;
+        record it in ``consumed`` and return its index."""
+        if self.at_keyword(word):
             at = self.advance()
-            self.expect(":")
-            consumed.add(key)
-            return at
-        return None
-
-    def take_block(self, name: str, consumed: set[str]) -> int | None:
-        """Consume an optional ``name {`` block opener if it is next."""
-        if self.at_keyword(name):
-            at = self.advance()
-            self.expect("{")
-            consumed.add(name)
+            if opener:
+                self.expect(opener)
+            consumed.add(word)
             return at
         return None
 
@@ -778,24 +771,25 @@ class _Parser:
         return tuple(nodes)
 
 
+def _parse(text: str, file_name: str, grammar: Callable[[_Parser], object]):
+    try:
+        return grammar(_Parser(text, file_name)), []
+    except _Fail as failure:
+        return None, [failure.diagnostic]
+
+
 def parse_description(
     text: str, file_name: str = "<input>"
 ) -> tuple[Document | None, list[Diagnostic]]:
     """Parse description text. Returns (document, []) or (None, diagnostics)."""
-    try:
-        return _Parser(text, file_name).parse_document(), []
-    except _Fail as failure:
-        return None, [failure.diagnostic]
+    return _parse(text, file_name, _Parser.parse_document)
 
 
 def parse_catalog(
     text: str, file_name: str = "<input>"
 ) -> tuple[PatternCatalog | None, list[Diagnostic]]:
     """Parse catalog text. Returns (catalog, []) or (None, diagnostics)."""
-    try:
-        return _Parser(text, file_name).parse_catalog_file(), []
-    except _Fail as failure:
-        return None, [failure.diagnostic]
+    return _parse(text, file_name, _Parser.parse_catalog_file)
 
 
 # ---------------------------------------------------------------------------
@@ -854,23 +848,19 @@ def serialize(doc: Document) -> str:
 
 
 def serialize_catalog(catalog: PatternCatalog) -> str:
-    """Canonical text for a catalog file."""
-    header = "catalog" if catalog.label is None else f"catalog {_quote(catalog.label)}"
-    if catalog.is_empty:
-        return header + " {}\n"
+    """Canonical text for a catalog file: the catalog header, then each
+    node's, each opening a block of its children (`{}` when there are none)."""
     w = _Writer()
-    w.open(header)
 
-    def emit(node: PatternNode) -> None:
-        if node.is_leaf:
-            w.line(f"node {_quote(node.name)} {{}}")
+    def emit(header: str, children: tuple[PatternNode, ...]) -> None:
+        if not children:
+            w.line(header + " {}")
             return
-        w.open(f"node {_quote(node.name)}")
-        for child in node.children:
-            emit(child)
+        w.open(header)
+        for node in children:
+            emit(f"node {_quote(node.name)}", node.children)
         w.close()
 
-    for root in catalog.roots:
-        emit(root)
-    w.close()
+    emit("catalog" if catalog.label is None else f"catalog {_quote(catalog.label)}",
+         catalog.roots)
     return "\n".join(w.lines) + "\n"

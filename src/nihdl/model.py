@@ -264,19 +264,11 @@ class ControlProtocol:
 
 
 class CountermeasureKind(Enum):
+    # Declaration order is the canonical order of countermeasure entries.
     ELIMINATION = "elimination"
     LIMITATION = "limitation"
     DETECTION = "detection"
     PROTOCOL_REVISION = "protocol-revision"
-
-
-# Canonical ordering of countermeasure entries.
-COUNTERMEASURE_ORDER = (
-    CountermeasureKind.ELIMINATION,
-    CountermeasureKind.LIMITATION,
-    CountermeasureKind.DETECTION,
-    CountermeasureKind.PROTOCOL_REVISION,
-)
 
 
 class Applicability(Enum):
@@ -391,9 +383,8 @@ def normalize(d: MethodDescription) -> MethodDescription:
     """Canonical ordering: countermeasure entries by kind (elimination,
     limitation, detection, protocol revision; stable within a kind) and
     justifications by their element's position on the path. Idempotent."""
-    entries = tuple(
-        sorted(d.countermeasures, key=lambda e: COUNTERMEASURE_ORDER.index(e.kind))
-    )
+    kinds = list(CountermeasureKind)
+    entries = tuple(sorted(d.countermeasures, key=lambda e: kinds.index(e.kind)))
     pattern = d.pattern
     if not pattern.path.unassigned:
         position = {name: i for i, name in enumerate(pattern.path.elements)}

@@ -1,9 +1,11 @@
 """Hierarchical hiding-pattern catalog: queries, rendering and extension.
 
-A catalog is an ordered forest of named nodes. Methods are classified by
-stating the complete path from a root to the node that represents their
-pattern; classification requires the path to end on a leaf. All values
-are immutable; extension returns a new catalog.
+A catalog is an ordered forest of named nodes. Its roots are siblings like
+any node's children: one lookup finds a sibling by name, one rule rejects a
+repeated sibling name, and a path is walked from the roots down in one loop.
+Methods are classified by stating the complete path from a root to the node
+that represents their pattern; classification requires the path to end on a
+leaf. All values are immutable; extension returns a new catalog.
 
 Pattern names match byte-wise (case-sensitive, no normalization), may not
 contain "/" (the textual path separator is " / ") or a line break, and carry
@@ -54,6 +56,24 @@ def _check_name(name: str) -> str:
     return name
 
 
+def _find(nodes: tuple[PatternNode, ...], name: str) -> PatternNode | None:
+    for node in nodes:
+        if node.name == name:
+            return node
+    return None
+
+
+def _check_siblings(nodes: tuple[PatternNode, ...], parent: str | None) -> None:
+    """Reject a repeated name among ``parent``'s children (the roots if None)."""
+    seen = set()
+    for node in nodes:
+        if node.name in seen:
+            if parent is None:
+                raise DuplicateChildError(f"duplicate root {node.name!r}")
+            raise DuplicateChildError(f"duplicate child {node.name!r} under {parent!r}")
+        seen.add(node.name)
+
+
 @dataclass(frozen=True)
 class PatternNode:
     name: str
@@ -61,23 +81,11 @@ class PatternNode:
 
     def __post_init__(self) -> None:
         _check_name(self.name)
-        seen = set()
-        for child in self.children:
-            if child.name in seen:
-                raise DuplicateChildError(
-                    f"duplicate child {child.name!r} under {self.name!r}"
-                )
-            seen.add(child.name)
+        _check_siblings(self.children, self.name)
 
     @property
     def is_leaf(self) -> bool:
         return not self.children
-
-    def child(self, name: str) -> PatternNode | None:
-        for node in self.children:
-            if node.name == name:
-                return node
-        return None
 
 
 @dataclass(frozen=True)
@@ -86,21 +94,11 @@ class PatternCatalog:
     label: str | None = None
 
     def __post_init__(self) -> None:
-        seen = set()
-        for root in self.roots:
-            if root.name in seen:
-                raise DuplicateChildError(f"duplicate root {root.name!r}")
-            seen.add(root.name)
+        _check_siblings(self.roots, None)
 
     @property
     def is_empty(self) -> bool:
         return not self.roots
-
-    def root(self, name: str) -> PatternNode | None:
-        for node in self.roots:
-            if node.name == name:
-                return node
-        return None
 
 
 @dataclass(frozen=True)
@@ -162,13 +160,12 @@ def resolve_path(catalog: PatternCatalog, path: PatternPath) -> Resolution:
     """
     if path.unassigned or not path.elements:
         raise EmptyPathError("cannot resolve an empty or unassigned path")
-    node = catalog.root(path.elements[0])
-    if node is None:
-        return Resolution(ResolutionKind.NOT_FOUND, failed_index=0)
-    for index, name in enumerate(path.elements[1:], start=1):
-        node = node.child(name)
+    siblings = catalog.roots
+    for index, name in enumerate(path.elements):
+        node = _find(siblings, name)
         if node is None:
             return Resolution(ResolutionKind.NOT_FOUND, failed_index=index)
+        siblings = node.children
     kind = ResolutionKind.LEAF if node.is_leaf else ResolutionKind.INTERNAL
     return Resolution(kind, node=node)
 
@@ -220,29 +217,25 @@ def extend_catalog(catalog: PatternCatalog, parent: PatternPath, name: str) -> P
     name.
     """
     _check_name(name)
-    resolution = resolve_path(catalog, parent)
-    if resolution.kind is ResolutionKind.NOT_FOUND:
+    target = resolve_path(catalog, parent).node
+    if target is None:
         raise ParentNotFoundError(f"parent path not in catalog: {parent.text}")
+    if _find(target.children, name) is not None:
+        raise DuplicateChildError(f"{target.name!r} already has a child named {name!r}")
 
-    def rebuild(node: PatternNode, remaining: tuple[str, ...]) -> PatternNode:
-        if not remaining:
-            if node.child(name) is not None:
-                raise DuplicateChildError(
-                    f"{node.name!r} already has a child named {name!r}"
-                )
-            return PatternNode(node.name, node.children + (PatternNode(name),))
-        head, *tail = remaining
-        children = tuple(
-            rebuild(child, tuple(tail)) if child.name == head else child
-            for child in node.children
+    def rebuild(siblings: tuple[PatternNode, ...], depth: int) -> tuple[PatternNode, ...]:
+        """``siblings`` at ``depth`` of the parent path, the new node added
+        below the one on the path."""
+        if depth == len(parent.elements):
+            return siblings + (PatternNode(name),)
+        head = parent.elements[depth]
+        return tuple(
+            PatternNode(node.name, rebuild(node.children, depth + 1))
+            if node.name == head else node
+            for node in siblings
         )
-        return PatternNode(node.name, children)
 
-    roots = tuple(
-        rebuild(root, parent.elements[1:]) if root.name == parent.elements[0] else root
-        for root in catalog.roots
-    )
-    return PatternCatalog(roots=roots, label=catalog.label)
+    return PatternCatalog(roots=rebuild(catalog.roots, 0), label=catalog.label)
 
 
 def _chains(catalog: PatternCatalog, leaves_only: bool) -> list[tuple[str, ...]]:
