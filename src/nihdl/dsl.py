@@ -414,7 +414,7 @@ class _Block(_Kind):
     def __init__(self, make: Callable | None, *keys: _Key) -> None:
         self.make = make
         self.keys = keys
-        self.known = {key.name for key in keys}
+        self.known = {key.name: position for position, key in enumerate(keys)}
 
     def take(self, p, key, fields, consumed):
         # A repeated block is not recorded: one that follows a later key is
@@ -626,12 +626,14 @@ class _Parser:
 
     # -- key sequencing -----------------------------------------------------
 
-    def _surprise(self, known: set[str], consumed: set[str],
+    def _surprise(self, known: dict[str, int], consumed: set[str], due: int,
                   missing: str | None) -> None:
-        """Report the current token given a block's key set.
+        """Report the current token given a block's key positions.
 
-        ``missing`` names a required key/block when one is due here; a
-        closing brace is then E005, otherwise E001.
+        ``due`` is the position of the key due here, or the key count once
+        all are read, and ``missing`` names it when it is required. A known
+        key from before ``due`` is out of order (E001); a later one, or a
+        token that is not a key, leaves the required key missing (E005).
         """
         kind, text = self.kind, self.text
         if kind == _END:
@@ -639,11 +641,10 @@ class _Parser:
         if kind == "keyword":
             if text in consumed:
                 self.fail("E003", f"duplicate key {text!r} in block")
-            if text in known and missing:
-                self.fail("E005", f"missing required {missing}")
-            if text in known:
+            if text not in known:
+                self.fail("E001", f"unknown key {text!r}")
+            if known[text] < due:
                 self.fail("E001", f"key {text!r} out of canonical order")
-            self.fail("E001", f"unknown key {text!r}")
         if missing:
             self.fail("E005", f"missing required {missing}")
         self.fail("E001", f"unexpected token {self.describe()}")
@@ -664,7 +665,7 @@ class _Parser:
         model fields; a key the file leaves out keeps the model default."""
         consumed: set[str] = set()
         fields: dict[str, object] = {}
-        for key in block.keys:
+        for due, key in enumerate(block.keys):
             kind = key.kind
             if key.need is _REPEATED:
                 items = fields[key.field] = []
@@ -682,9 +683,9 @@ class _Parser:
                 else:
                     fields[key.field] = value
             elif key.need is _REQUIRED:
-                self._surprise(block.known, consumed, f"{kind.word} {key.name!r}")
+                self._surprise(block.known, consumed, due, f"{kind.word} {key.name!r}")
         if self.kind != "}":
-            self._surprise(block.known, consumed, None)
+            self._surprise(block.known, consumed, len(block.keys), None)
         self.advance()
         return fields
 
@@ -848,8 +849,7 @@ def serialize(doc: Document) -> str:
 
 
 def serialize_catalog(catalog: PatternCatalog) -> str:
-    """Canonical text for a catalog file: the catalog header, then each
-    node's, each opening a block of its children (`{}` when there are none)."""
+    """Canonical text for a catalog file: each header opens its children's block, or `{}`."""
     w = _Writer()
 
     def emit(header: str, children: tuple[PatternNode, ...]) -> None:

@@ -80,6 +80,23 @@ class TestParseDescription:
         assert codes(diags) == ["E005"]
         assert "robustness" in diags[0].message
 
+    def test_key_before_a_due_required_key_is_out_of_order(self):
+        text = GAP_FILE.read_text().replace(
+            '  source: "gianvecchio2008"\n  year: 2008\n',
+            '  year: 2008\n  source: "gianvecchio2008"\n',
+        )
+        doc, diags = dsl.parse_description(text, "t")
+        assert [d.render() for d in diags] == [
+            "t:3:3: E001 error key 'source' out of canonical order"
+        ]
+
+    def test_key_after_a_due_required_key_leaves_it_missing(self):
+        text = GAP_FILE.read_text().replace("  general {", "  process {}\n  general {", 1)
+        doc, diags = dsl.parse_description(text, "t")
+        assert [d.render() for d in diags] == [
+            "t:4:3: E005 error missing required block 'general'"
+        ]
+
     def test_unknown_enum_value(self):
         text = GAP_FILE.read_text().replace("status: full", "status: yes", 1)
         doc, diags = dsl.parse_description(text, "t")
