@@ -90,13 +90,6 @@ class TestParseDescription:
             "t:3:3: E001 error key 'source' out of canonical order"
         ]
 
-    def test_key_after_a_due_required_key_leaves_it_missing(self):
-        text = GAP_FILE.read_text().replace("  general {", "  process {}\n  general {", 1)
-        doc, diags = dsl.parse_description(text, "t")
-        assert [d.render() for d in diags] == [
-            "t:4:3: E005 error missing required block 'general'"
-        ]
-
     def test_unknown_enum_value(self):
         text = GAP_FILE.read_text().replace("status: full", "status: yes", 1)
         doc, diags = dsl.parse_description(text, "t")
