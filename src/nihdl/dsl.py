@@ -626,16 +626,14 @@ class _Parser:
 
     # -- key sequencing -----------------------------------------------------
 
-    def _surprise(self, known: dict[str, int], consumed: set[str], due: int,
-                  missing: str | None) -> None:
-        """Report the current token given a block's key positions.
+    def _surprise(self, block: _Block, consumed: set[str], due: _Key | None) -> None:
+        """Report the current token where ``block``'s required key ``due``
+        is missing, or where the block should close when ``due`` is None.
 
-        ``due`` is the position of the key due here, or the key count once
-        all are read, and ``missing`` names it when it is required. A known
-        key from before ``due`` is out of order (E001); a later one, or a
-        token that is not a key, leaves the required key missing (E005).
+        A key of the block from before ``due`` is out of order (E001); a
+        later one, or a token that is not a key, leaves ``due`` missing (E005).
         """
-        kind, text = self.kind, self.text
+        kind, text, known = self.kind, self.text, block.known
         if kind == _END:
             self.fail("E001", "unexpected end of input")
         if kind == "keyword":
@@ -643,10 +641,10 @@ class _Parser:
                 self.fail("E003", f"duplicate key {text!r} in block")
             if text not in known:
                 self.fail("E001", f"unknown key {text!r}")
-            if known[text] < due:
+            if due is None or known[text] < known[due.name]:
                 self.fail("E001", f"key {text!r} out of canonical order")
-        if missing:
-            self.fail("E005", f"missing required {missing}")
+        if due is not None:
+            self.fail("E005", f"missing required {due.kind.word} {due.name!r}")
         self.fail("E001", f"unexpected token {self.describe()}")
 
     def take(self, word: str, opener: str | None, consumed: set[str]) -> int | None:
@@ -665,7 +663,7 @@ class _Parser:
         model fields; a key the file leaves out keeps the model default."""
         consumed: set[str] = set()
         fields: dict[str, object] = {}
-        for due, key in enumerate(block.keys):
+        for key in block.keys:
             kind = key.kind
             if key.need is _REPEATED:
                 items = fields[key.field] = []
@@ -683,9 +681,9 @@ class _Parser:
                 else:
                     fields[key.field] = value
             elif key.need is _REQUIRED:
-                self._surprise(block.known, consumed, due, f"{kind.word} {key.name!r}")
+                self._surprise(block, consumed, key)
         if self.kind != "}":
-            self._surprise(block.known, consumed, len(block.keys), None)
+            self._surprise(block, consumed, None)
         self.advance()
         return fields
 
