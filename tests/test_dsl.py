@@ -116,12 +116,16 @@ class TestParseDescription:
         assert codes(diags) == ["E005"]
 
     def test_absent_control_protocol_rejects_features(self):
-        text = GAP_FILE.read_text().replace(
-            "status: absent\n      text: \"Only the encoding",
-            "status: absent\n      feature: reliability\n      text: \"Only the encoding",
-        )
-        doc, diags = dsl.parse_description(text, "t")
-        assert codes(diags) == ["E001"]
+        """The absent-protocol check comes before the colon is expected."""
+        for line in ("feature: reliability", "feature reliability", "feature"):
+            text = GAP_FILE.read_text().replace(
+                "status: absent\n      text: \"Only the encoding",
+                f"status: absent\n      {line}\n      text: \"Only the encoding",
+            )
+            doc, diags = dsl.parse_description(text, "t")
+            assert [d.render() for d in diags] == [
+                "t:59:7: E001 error an absent control protocol cannot list features"
+            ], line
 
     def test_duplicate_scenario_entry(self):
         text = GAP_FILE.read_text().replace(
