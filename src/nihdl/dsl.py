@@ -416,11 +416,6 @@ class _Block(_Kind):
         self.keys = keys
         self.known = {key.name: position for position, key in enumerate(keys)}
 
-    def take(self, p, key, fields, consumed):
-        # A repeated block is not recorded: one that follows a later key is
-        # out of order, not a duplicate.
-        return p.take(key.name, self.opener, set() if key.need is _REPEATED else consumed)
-
     def parse(self, p, key, fields, at):
         block_fields = p.parse_block(self)
         return block_fields if self.make is None else self.make(**block_fields)
@@ -666,8 +661,10 @@ class _Parser:
         for key in block.keys:
             kind = key.kind
             if key.need is _REPEATED:
+                # A repeated key is not recorded: it may appear any number of
+                # times, so after a later key it is out of order, not a duplicate.
                 items = fields[key.field] = []
-                while (at := kind.take(self, key, fields, consumed)) is not None:
+                while (at := kind.take(self, key, fields, set())) is not None:
                     items.append(kind.parse(self, key, fields, at))
                 fields[key.field] = kind.collect(items)
                 continue

@@ -90,6 +90,18 @@ class TestParseDescription:
             "t:3:3: E001 error key 'source' out of canonical order"
         ]
 
+    def test_repeated_key_after_a_later_key_is_out_of_order(self):
+        """A repeated key may appear any number of times, so it is never a
+        duplicate; after a later key of its block it is out of order."""
+        lines = GAP_FILE.read_text().splitlines(keepends=True)
+        assert lines[19].lstrip().startswith("text:")  # after the last condition
+        lines[18:20] = lines[19], lines[18]
+        text = "".join(lines)
+        doc, diags = dsl.parse_description(text, "t")
+        assert [d.render() for d in diags] == [
+            "t:20:7: E001 error key 'condition' out of canonical order"
+        ]
+
     def test_unknown_enum_value(self):
         text = GAP_FILE.read_text().replace("status: full", "status: yes", 1)
         doc, diags = dsl.parse_description(text, "t")
