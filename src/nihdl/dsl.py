@@ -33,8 +33,10 @@ is the identity up to normalization.
 
 The description schema is one table (`_METHOD` and the block entries it
 opens): per block, its keys in canonical order, each required, optional
-or repeated, with its value kind and the model field it fills. The
-parser, the serializer and the validator's check for `unspecified`
+or repeated, with its value kind and the model field it fills. A kind
+also gives the value a left-out key leaves, which is never written. A
+repeated key may appear any number of times and so is never a duplicate.
+The parser, the serializer and the validator's check for `unspecified`
 values all walk it; it is the only place key order and optionality live.
 """
 
@@ -161,10 +163,7 @@ class _Kind:
     word = "key"  # how E005 names a missing required one
     opener: str | None = ":"  # the token after the key, if any
     unspecified: object = None  # the value written `unspecified`, if any
-
-    def take(self, p: _Parser, key: _Key, fields: dict, consumed: set[str]) -> int | None:
-        """Consume the introducer if it is next; return the key's index."""
-        return p.take(key.name, self.opener, consumed)
+    default: object = None  # the value a left-out key leaves; it goes unwritten
 
     def parse(self, p: _Parser, key: _Key, fields: dict, at: int) -> object:
         raise NotImplementedError
@@ -277,14 +276,14 @@ class _EnumList(_Enum):
 
 class _Features(_Enum):
     """Repeated `key: token` lines forming a set; an absent control
-    protocol may list none."""
+    protocol may list none, which is checked before the colon."""
 
-    def take(self, p, key, fields, consumed):
-        if fields["presence"] is model.Presence.ABSENT and p.at_keyword(key.name):
-            p.fail("E001", "an absent control protocol cannot list features")
-        return super().take(p, key, fields, consumed)
+    opener = None
 
     def parse(self, p, key, fields, at):
+        if fields["presence"] is model.Presence.ABSENT:
+            p.fail("E001", "an absent control protocol cannot list features", at)
+        p.expect(":")
         return p.enum_member(self.mapping, key.name, fields[key.field])
 
     def collect(self, items):
@@ -299,7 +298,7 @@ class _Binding(_Kind):
     features in parentheses."""
 
     kinds = {kind.value: kind for kind in model.BindingKind}
-    unspecified = model.CarrierBinding.unspecified()
+    unspecified = default = model.CarrierBinding.unspecified()
 
     def parse(self, p, key, fields, at):
         kind = p.enum_value(self.kinds, key.name)
@@ -321,10 +320,6 @@ class _Binding(_Kind):
         if not value.names:
             return value.kind.value
         return f"{value.kind.value}({', '.join(_quote(n) for n in value.names)})"
-
-    def emit(self, w, key, value):
-        if value != self.unspecified:  # the default goes unwritten
-            super().emit(w, key, value)
 
 
 class _Directness(_Kind):
@@ -388,6 +383,8 @@ class _Justify(_Kind):
 class _Ref(_Enum):
     """`ref: countermeasures`, allowed on the undetectability metric only."""
 
+    default = False
+
     def __init__(self, allowed: bool) -> None:
         super().__init__({"countermeasures": True})
         self.allowed = allowed
@@ -398,10 +395,6 @@ class _Ref(_Enum):
             p.fail("E005", "ref: countermeasures is only allowed on the undetectability "
                            "metric", at)
         return value
-
-    def emit(self, w, key, value):
-        if value:
-            super().emit(w, key, value)
 
 
 class _Block(_Kind):
@@ -642,14 +635,13 @@ class _Parser:
             self.fail("E005", f"missing required {due.kind.word} {due.name!r}")
         self.fail("E001", f"unexpected token {self.describe()}")
 
-    def take(self, word: str, opener: str | None, consumed: set[str]) -> int | None:
-        """Consume ``word`` and its ``opener``, if any, when the word is next;
-        record it in ``consumed`` and return its index."""
-        if self.at_keyword(word):
+    def take(self, key: _Key) -> int | None:
+        """Consume ``key``'s word and its kind's opener, if any, when the
+        word is next; return the word's index."""
+        if self.at_keyword(key.name):
             at = self.advance()
-            if opener:
-                self.expect(opener)
-            consumed.add(word)
+            if key.kind.opener:
+                self.expect(key.kind.opener)
             return at
         return None
 
@@ -660,18 +652,16 @@ class _Parser:
         fields: dict[str, object] = {}
         for key in block.keys:
             kind = key.kind
-            if key.need is _REPEATED:
-                # A repeated key is not recorded: it may appear any number of
-                # times, so after a later key it is out of order, not a duplicate.
+            if key.need is _REPEATED:  # never recorded, so never a duplicate
                 items = fields[key.field] = []
-                while (at := kind.take(self, key, fields, set())) is not None:
+                while (at := self.take(key)) is not None:
                     items.append(kind.parse(self, key, fields, at))
                 fields[key.field] = kind.collect(items)
                 continue
-            # Every kind takes a key only at its own word; testing that first
-            # saves the calls for the many optional keys that are left out.
-            if self.text == key.name and (
-                    at := kind.take(self, key, fields, consumed)) is not None:
+            # Testing the word first saves the call for the many optional
+            # keys that are left out.
+            if self.text == key.name and (at := self.take(key)) is not None:
+                consumed.add(key.name)
                 value = kind.parse(self, key, fields, at)
                 if key.field is None:
                     fields.update(value)
@@ -822,7 +812,8 @@ def _emit_block(w: _Writer, block: _Block, obj) -> None:
         if key.need is _REPEATED:
             for item in kind.members(value):
                 kind.emit(w, key, item)
-        elif value is not None:
+        # Identity first: most defaults are None, and `!=` is slower.
+        elif value is not None if kind.default is None else value != kind.default:
             kind.emit(w, key, value)
         elif key.need is _REQUIRED:
             raise ValueError(f"cannot serialize: {kind.word} {key.name!r} is missing")
