@@ -50,6 +50,7 @@ from enum import Enum
 from . import model
 from .diagnostics import Diagnostic, SourceLocation
 from .taxonomy import (
+    MAX_DEPTH,
     InvalidNameError,
     PatternCatalog,
     PatternNode,
@@ -60,7 +61,6 @@ from .taxonomy import (
 DESCRIPTION_SUFFIX = ".nihd"
 
 _METHOD_WORD = "method"
-_MAX_CATALOG_DEPTH = 64
 
 
 @dataclass(frozen=True)
@@ -736,11 +736,11 @@ class _Parser:
         return PatternCatalog(roots=roots, label=label)
 
     def parse_nodes(self, depth: int) -> tuple[PatternNode, ...]:
-        if depth > _MAX_CATALOG_DEPTH:
-            self.fail("E001", f"catalog nesting deeper than {_MAX_CATALOG_DEPTH}")
         nodes: list[PatternNode] = []
         seen: set[str] = set()
         while self.at_keyword("node"):
+            if depth > MAX_DEPTH:
+                self.fail("E001", f"catalog nesting deeper than {MAX_DEPTH}")
             self.advance()
             name, name_at = self.string_value("node name")
             try:

@@ -10,6 +10,8 @@ leaf. All values are immutable; extension returns a new catalog.
 Pattern names match byte-wise (case-sensitive, no normalization), may not
 contain "/" (the textual path separator is " / ") or a line break, and carry
 no leading or trailing whitespace. Sibling order is author order and is preserved.
+A catalog file nests at most MAX_DEPTH levels, and extension refuses a node
+that would sit deeper.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 PATH_SEPARATOR = " / "
+MAX_DEPTH = 64  # levels of nesting a catalog file may hold, roots at level 1
 
 
 class TaxonomyError(Exception):
@@ -214,7 +217,8 @@ def extend_catalog(catalog: PatternCatalog, parent: PatternPath, name: str) -> P
     The input catalog is left untouched. Raises ParentNotFoundError when
     the parent path does not resolve, DuplicateChildError when the parent
     already has a child of that name, InvalidNameError for a malformed
-    name.
+    name, and TaxonomyError when the new node would sit deeper than
+    MAX_DEPTH.
     """
     _check_name(name)
     target = resolve_path(catalog, parent).node
@@ -222,6 +226,9 @@ def extend_catalog(catalog: PatternCatalog, parent: PatternPath, name: str) -> P
         raise ParentNotFoundError(f"parent path not in catalog: {parent.text}")
     if _find(target.children, name) is not None:
         raise DuplicateChildError(f"{target.name!r} already has a child named {name!r}")
+    if len(parent.elements) >= MAX_DEPTH:
+        raise TaxonomyError(f"catalog nesting deeper than {MAX_DEPTH}: {name!r} "
+                            f"under {target.name!r}")
 
     def rebuild(siblings: tuple[PatternNode, ...], depth: int) -> tuple[PatternNode, ...]:
         """``siblings`` at ``depth`` of the parent path, the new node added

@@ -433,6 +433,19 @@ class TestCatalogAddCommand:
         assert code == 1
         assert err == "ParentNotFoundError: parent path not in catalog: No Such Node\n"
 
+    def test_node_below_a_sixty_fourth_level_exits_1(self, capsys, tmp_path):
+        catalog_path, justification = self._setup(tmp_path)
+        catalog_path.write_text("catalog {\n" + 'node "a" {\n' * 64 + "}\n" * 64 + "}\n")
+        before = catalog_path.read_bytes()
+        code, _, err = run(capsys, [
+            "catalog-add", "--catalog", str(catalog_path),
+            "--parent", " / ".join(["a"] * 64),
+            "--name", "b", "--justification", str(justification),
+        ])
+        assert code == 1
+        assert err == "TaxonomyError: catalog nesting deeper than 64: 'b' under 'a'\n"
+        assert catalog_path.read_bytes() == before
+
 
 def test_usage_error_for_unknown_command(capsys):
     assert main(["frobnicate"]) == 2

@@ -9,7 +9,13 @@ import pytest
 
 from nihdl import dsl
 from nihdl.diagnostics import Severity
-from nihdl.taxonomy import ResolutionKind, list_leaves, resolve_path, seed_catalog
+from nihdl.taxonomy import (
+    PatternPath,
+    ResolutionKind,
+    list_leaves,
+    resolve_path,
+    seed_catalog,
+)
 
 from conftest import CATALOG_FILE, DHCP_FILE, GAP_FILE, GOLDEN, JOINT_FILE, SYNTHETIC_DIR
 from randgen import document
@@ -241,6 +247,11 @@ def test_lexer_tokens(text, tokens):
     assert rows == tokens
 
 
+def _chain_catalog(levels):
+    """A catalog of one chain of nodes named "a", one line per node."""
+    return "catalog {\n" + 'node "a" {\n' * levels + "}\n" * levels + "}\n"
+
+
 class TestParseCatalog:
     def test_seed_catalog_file(self):
         catalog, diags = dsl.parse_catalog(CATALOG_FILE.read_text(), str(CATALOG_FILE))
@@ -267,6 +278,18 @@ class TestParseCatalog:
     def test_label(self):
         catalog, _ = dsl.parse_catalog('catalog "mine" { node "A" {} }', "t")
         assert catalog.label == "mine"
+
+    def test_sixty_four_levels_parse(self):
+        catalog, diags = dsl.parse_catalog(_chain_catalog(64), "t")
+        assert diags == []
+        assert resolve_path(catalog, PatternPath.of(*["a"] * 64)).kind is ResolutionKind.LEAF
+
+    def test_sixty_fifth_level_fails_at_its_node(self):
+        catalog, diags = dsl.parse_catalog(_chain_catalog(65), "t")
+        assert catalog is None
+        assert [d.render() for d in diags] == [
+            "t:66:1: E001 error catalog nesting deeper than 64"
+        ]
 
     def test_nesting_cap(self):
         text = "catalog { " + 'node "a" { ' * 80 + "} " * 80 + " }"

@@ -7,6 +7,7 @@ import pytest
 from nihdl.taxonomy import (
     DuplicateChildError,
     EmptyPathError,
+    MAX_DEPTH,
     InvalidNameError,
     NotRenderableError,
     ParentNotFoundError,
@@ -14,6 +15,7 @@ from nihdl.taxonomy import (
     PatternNode,
     PatternPath,
     ResolutionKind,
+    TaxonomyError,
     UNASSIGNED,
     extend_catalog,
     list_leaves,
@@ -151,6 +153,18 @@ class TestExtendCatalog:
         with pytest.raises(ParentNotFoundError,
                            match="^parent path not in catalog: Nope$"):
             extend_catalog(catalog, PatternPath.of("Nope"), "Child")
+
+    def test_node_deeper_than_the_limit(self):
+        chain = PatternNode("a")
+        for _ in range(MAX_DEPTH - 1):
+            chain = PatternNode("a", (chain,))
+        deep = PatternCatalog(roots=(chain,))
+        leaf = PatternPath.of(*["a"] * MAX_DEPTH)
+        assert resolve_path(deep, leaf).kind is ResolutionKind.LEAF
+        with pytest.raises(TaxonomyError,
+                           match="^catalog nesting deeper than 64: 'b' under 'a'$"):
+            extend_catalog(deep, leaf, "b")
+        extend_catalog(deep, PatternPath.of(*leaf.elements[:-1]), "b")
 
     def test_invalid_name(self, catalog):
         parent = PatternPath.of("Network Covert Timing Channels")
