@@ -5,12 +5,13 @@ generated ``<root>/index.tsv`` (UTF-8, LF, tab-separated). Description
 files are discovered in lexicographic order, parse failures never abort
 the load of other files, and the index is written atomically (temp file
 plus rename), so repeated runs on an unchanged corpus are byte-identical.
+A rewritten file keeps its mode; a new one gets 0666 less the umask.
 """
 
 from __future__ import annotations
 
 import os
-import tempfile
+import stat
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -104,10 +105,18 @@ def load_all(corpus: Corpus) -> tuple[list[dsl.Document], list[Diagnostic]]:
 
 
 def atomic_write_text(path: Path, text: str) -> None:
-    """Write via a temp file in the target directory, then rename over."""
-    fd, temp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    """Write via a new temp file in the target directory, then rename over;
+    the target's mode, if it exists, is given to the temp file first."""
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        mode = None
+    temp_name = f"{path}.{os.urandom(4).hex()}"
+    fd = os.open(temp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
+            if mode is not None:
+                os.fchmod(fd, mode)
             handle.write(text)
         os.replace(temp_name, path)
     except BaseException:

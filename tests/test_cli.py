@@ -3,7 +3,9 @@
 import csv
 import io
 import json
+import os
 import shutil
+import stat
 
 import pytest
 
@@ -398,6 +400,21 @@ class TestCatalogAddCommand:
         from nihdl import dsl
         catalog, diags = dsl.parse_catalog(text, "t")
         assert diags == [] and dsl.serialize_catalog(catalog) == text
+
+    def test_add_keeps_the_catalog_mode(self, capsys, tmp_path):
+        catalog_path, justification = self._setup(tmp_path)
+        catalog_path.chmod(0o644)
+        old = os.umask(0o077)
+        try:
+            code, _, _ = run(capsys, [
+                "catalog-add", "--catalog", str(catalog_path),
+                "--parent", "Network Covert Timing Channels",
+                "--name", "Rate Pattern", "--justification", str(justification),
+            ])
+        finally:
+            os.umask(old)
+        assert code == 0
+        assert stat.S_IMODE(catalog_path.stat().st_mode) == 0o644
 
     def test_duplicate_add_exits_1(self, capsys, tmp_path):
         catalog_path, justification = self._setup(tmp_path)

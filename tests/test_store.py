@@ -1,6 +1,8 @@
 """Corpus discovery, loading and the derived index file."""
 
+import os
 import shutil
+import stat
 
 import pytest
 
@@ -117,6 +119,15 @@ class TestBuildIndex:
         build_index(corpus, catalog)
         assert (corpus_root / "index.tsv").read_bytes() == first
 
+    def test_new_index_mode_is_0666_less_the_umask(self, tmp_path, catalog):
+        (tmp_path / "descriptions").mkdir()
+        old = os.umask(0o027)
+        try:
+            build_index(open_corpus(tmp_path), catalog)
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE((tmp_path / "index.tsv").stat().st_mode) == 0o640
+
     def test_unresolvable_paths_reported(self, tmp_path, catalog):
         corpus = self._working_copy(tmp_path)
         stray = corpus.root / "descriptions" / "a_stray.nihd"
@@ -136,3 +147,13 @@ class TestBuildIndex:
         rows, diags = build_index(corpus, catalog)
         assert len(rows) == 3
         assert any(d.code == "E110" for d in diags)
+
+
+def test_atomic_write_keeps_the_mode(tmp_path):
+    target = tmp_path / "kept.txt"
+    target.write_text("old\n")
+    target.chmod(0o604)
+    store.atomic_write_text(target, "new\n")
+    assert target.read_text() == "new\n"
+    assert stat.S_IMODE(target.stat().st_mode) == 0o604
+    assert [p.name for p in tmp_path.iterdir()] == ["kept.txt"]
