@@ -457,7 +457,11 @@ def cmd_catalog_add(args) -> int:
     except TaxonomyError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DIAGNOSTICS
-    store.atomic_write_text(Path(_catalog_path(args)), dsl.serialize_catalog(extended))
+    path = _catalog_path(args)
+    try:
+        store.atomic_write_text(Path(path), dsl.serialize_catalog(extended))
+    except OSError as exc:
+        raise _UsageError(f"cannot write catalog file {path}: {exc.strerror}") from None
     print(f'added "{args.name}" under {parent.text}')
     return EXIT_OK
 

@@ -476,8 +476,8 @@ def test_help_exits_zero(capsys):
 # argv names placeholders that the ``hostile`` fixture fills in: a
 # directory where a file is expected, a file that is not UTF-8, a
 # description that does not parse, a year with more digits than int()
-# reads, corpora without content, and catalog-add values that cannot be
-# stored; a few omit a required --catalog. Each case's stderr is pinned in
+# reads, corpora without content, and catalog-add values or a catalog that
+# cannot be stored; a few omit a required --catalog. Each case's stderr is pinned in
 # tests/golden/hostile_stderr.txt.
 HOSTILE_CASES = [
     ("validate-directory", ["validate", "{directory}", "--catalog", "{catalog}"], 2),
@@ -519,6 +519,10 @@ HOSTILE_CASES = [
     ("catalog-add-catalog-not-utf8",
      ["catalog-add", "--catalog", "{latin1}", "--parent", "Network Covert Timing Channels",
       "--name", "Rate Pattern", "--justification", "{why}"], 2),
+    ("catalog-add-catalog-unwritable",
+     ["catalog-add", "--catalog", "{long_name_catalog}", "--parent",
+      "Network Covert Timing Channels", "--name", "Rate Pattern", "--justification", "{why}"],
+     2),
     ("catalog-add-justification-directory",
      ["catalog-add", "--catalog", "{catalog}", "--parent", "Network Covert Timing Channels",
       "--name", "Rate Pattern", "--justification", "{directory}"], 2),
@@ -561,6 +565,9 @@ def hostile(tmp_path):
     huge_year.write_text(GAP_FILE.read_text().replace("year: 2008", "year: " + "9" * 4301))
     catalog = tmp_path / "catalog.nihc"
     shutil.copy(CATALOG_FILE, catalog)
+    # Readable, but too long a name for a temp file beside it.
+    long_name_catalog = tmp_path / ("c" * 245 + ".nihc")
+    shutil.copy(CATALOG_FILE, long_name_catalog)
     why = tmp_path / "why.txt"
     why.write_text("Signals information through sending rates.\n")
     empty_corpus = tmp_path / "empty"
@@ -576,7 +583,7 @@ def hostile(tmp_path):
     shutil.copytree(empty_corpus, latin1_catalog_corpus)
     shutil.copy(latin1, latin1_catalog_corpus / "catalog.nihc")
     paths = dict(directory=directory, latin1=latin1, malformed=malformed,
-                 huge_year=huge_year, catalog=catalog,
+                 huge_year=huge_year, catalog=catalog, long_name_catalog=long_name_catalog,
                  why=why, empty_corpus=empty_corpus, hostile_corpus=hostile_corpus,
                  latin1_catalog_corpus=latin1_catalog_corpus, gap=GAP_FILE)
     return {name: str(path) for name, path in paths.items()}
