@@ -477,8 +477,8 @@ def test_help_exits_zero(capsys):
 # directory where a file is expected, a file that is not UTF-8, a
 # description that does not parse, a year with more digits than int()
 # reads, corpora without content, and catalog-add values or a catalog that
-# cannot be stored; a few omit a required --catalog. Each case's stderr is pinned in
-# tests/golden/hostile_stderr.txt.
+# cannot be stored; a few omit a required --catalog. Each case's stderr is
+# pinned in tests/golden/hostile_stderr.txt.
 HOSTILE_CASES = [
     ("validate-directory", ["validate", "{directory}", "--catalog", "{catalog}"], 2),
     ("validate-not-utf8", ["validate", "{latin1}", "--catalog", "{catalog}"], 2),
