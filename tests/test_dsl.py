@@ -116,14 +116,18 @@ class TestParseDescription:
     def test_year_out_of_range(self):
         text = GAP_FILE.read_text().replace("year: 2008", "year: 1492")
         doc, diags = dsl.parse_description(text, "t")
-        assert codes(diags) == ["E004"]
+        assert [d.render() for d in diags] == [
+            "t:3:9: E004 error year out of range 1980-2100: 1492"
+        ]
 
     def test_justify_must_match_path(self):
         text = GAP_FILE.read_text().replace(
             'justify "Inter-arrival Time Pattern"', 'justify "Bogus Element"'
         )
         doc, diags = dsl.parse_description(text, "t")
-        assert codes(diags) == ["E004"]
+        assert [d.render() for d in diags] == [
+            "t:8:15: E004 error justify names 'Bogus Element', which is not on the path"
+        ]
 
     def test_ref_only_on_undetectability(self):
         text = GAP_FILE.read_text().replace(
@@ -131,7 +135,28 @@ class TestParseDescription:
             'value: "5-20 bits per second"\n        ref: countermeasures',
         )
         doc, diags = dsl.parse_description(text, "t")
-        assert codes(diags) == ["E005"]
+        assert [d.render() for d in diags] == [
+            "t:41:9: E005 error ref: countermeasures is only allowed on the "
+            "undetectability metric"
+        ]
+
+    def test_empty_shared_label(self):
+        text = JOINT_FILE.read_text().replace(
+            'shared-with: "pervasive-eval"', 'shared-with: ""', 1
+        )
+        doc, diags = dsl.parse_description(text, "t")
+        assert [d.render() for d in diags] == [
+            "t:9:20: E004 error shared-with label must be non-empty"
+        ]
+
+    def test_empty_method_name(self):
+        text = GAP_FILE.read_text().replace(
+            'method "Model-based inter-packet gap channel"', 'method ""'
+        )
+        doc, diags = dsl.parse_description(text, "t")
+        assert [d.render() for d in diags] == [
+            "t:1:8: E004 error method name must be non-empty"
+        ]
 
     def test_absent_control_protocol_rejects_features(self):
         """The absent-protocol check comes before the colon is expected."""
@@ -157,7 +182,18 @@ class TestParseDescription:
             'binding: single-protocol("DHCP")', 'binding: protocol-set("DHCP")'
         )
         doc, diags = dsl.parse_description(text, "t")
-        assert codes(diags) == ["E005"]
+        assert [d.render() for d in diags] == [
+            "t:19:35: E005 error protocol-set requires at least two protocols"
+        ]
+
+    def test_single_protocol_takes_one_name(self):
+        text = DHCP_FILE.read_text().replace(
+            'binding: single-protocol("DHCP")', 'binding: single-protocol("a", "b")'
+        )
+        doc, diags = dsl.parse_description(text, "t")
+        assert [d.render() for d in diags] == [
+            "t:19:40: E005 error single-protocol takes exactly one protocol"
+        ]
 
     def test_crlf_input_accepted(self):
         text = GAP_FILE.read_text().replace("\n", "\r\n")
