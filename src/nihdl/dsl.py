@@ -23,8 +23,10 @@ with source locations, never an unhandled exception. Diagnostic codes:
     E002  unterminated string
     E003  duplicate key or sibling in a block
     E004  value outside its domain (unknown enumeration token, bad year,
-          malformed pattern path, empty name)
-    E005  missing required key or block within a present block
+          malformed pattern path, empty name or label, justify element
+          off the path)
+    E005  missing required key or block within a present block, or a
+          binding or metric its block refuses
 
 The serializer produces the canonical form: schema ordering, two-space
 indentation per block depth, one key per line, a trailing newline, and
@@ -38,6 +40,13 @@ also gives the value a left-out key leaves, which is never written. A
 repeated key may appear any number of times and so is never a duplicate.
 The parser, the serializer and the validator's check for `unspecified`
 values all walk it; it is the only place key order and optionality live.
+
+Value rules (a non-empty name, a year in range, a justified element on
+the path, ...) live in the model's constructors only. The parser builds
+each model value where the file states it and reports the model's refusal
+as a diagnostic at that token. Where a rule concerns one line of a block,
+a throwaway model value asks it before the parser reads on: a `justify`
+element and a `feature` line are checked before their colon.
 """
 
 from __future__ import annotations
@@ -212,9 +221,7 @@ class _Shared(_Kind):
 
     def parse(self, p, key, fields, at):
         label, label_at = p.string_value(f"{key.name} label")
-        if not label:
-            p.fail("E004", f"{key.name} label must be non-empty", label_at)
-        return model.SharedGroup(label)
+        return p.build("E004", label_at, model.SharedGroup, label)
 
     def text(self, value):
         return _quote(value.label)
@@ -224,12 +231,10 @@ class _Year(_Kind):
     def parse(self, p, key, fields, at):
         year_at = p.expect("integer", key.name)
         # No year has more than four digits, and int() refuses more than
-        # 4,300, so a longer number is out of range before it is read.
+        # 4,300, so the model gets a longer number as its digits, unread.
         digits = p.texts[year_at].lstrip("0") or "0"
-        if len(digits) > 4 or not model.YEAR_MIN <= int(digits) <= model.YEAR_MAX:
-            p.fail("E004", f"year out of range {model.YEAR_MIN}-{model.YEAR_MAX}: {digits}",
-                   year_at)
-        return int(digits)
+        return p.build("E004", year_at, model.check_year,
+                       int(digits) if len(digits) <= 4 else digits)
 
     def text(self, value):
         return str(value)
@@ -238,10 +243,11 @@ class _Year(_Kind):
 class _Enum(_Kind):
     """One token of a fixed vocabulary."""
 
-    def __init__(self, mapping: dict[str, object]) -> None:
+    def __init__(self, mapping: dict[str, object], default: object = None) -> None:
         self.mapping = mapping
         self.names = {value: name for name, value in mapping.items()}
         self.unspecified = mapping.get("unspecified")
+        self.default = default
 
     def parse(self, p, key, fields, at):
         return p.enum_value(self.mapping, key.name)
@@ -275,14 +281,14 @@ class _EnumList(_Enum):
 
 
 class _Features(_Enum):
-    """Repeated `key: token` lines forming a set; an absent control
-    protocol may list none, which is checked before the colon."""
+    """Repeated `key: token` lines forming a set. Before the colon, a
+    throwaway protocol asks the model whether the block's status allows
+    features at all."""
 
     opener = None
 
     def parse(self, p, key, fields, at):
-        if fields["presence"] is model.Presence.ABSENT:
-            p.fail("E001", "an absent control protocol cannot list features", at)
+        p.build("E001", at, model.ControlProtocol, fields["presence"], frozenset(self.names))
         p.expect(":")
         return p.enum_member(self.mapping, key.name, fields[key.field])
 
@@ -310,11 +316,7 @@ class _Binding(_Kind):
             p.advance()
             names.append(p.string_value("name")[0])
         close = p.expect(")")
-        if kind is model.BindingKind.SINGLE_PROTOCOL and len(names) != 1:
-            p.fail("E005", f"{kind.value} takes exactly one protocol", close)
-        if kind is model.BindingKind.PROTOCOL_SET and len(names) < 2:
-            p.fail("E005", f"{kind.value} requires at least two protocols", close)
-        return model.CarrierBinding(kind, tuple(names))
+        return p.build("E005", close, model.CarrierBinding, kind, tuple(names))
 
     def text(self, value):
         if not value.names:
@@ -361,17 +363,15 @@ class _Path(_Kind):
 
 
 class _Justify(_Kind):
-    """`key "element": "rationale"` for an element on the parsed path; no
-    colon follows the key."""
+    """`key "element": "rationale"` for an element on the parsed path, which
+    is asked before the colon; no colon follows the key."""
 
     opener = None
 
     def parse(self, p, key, fields, at):
         element, element_at = p.string_value("path element")
-        path = fields["path"]
-        if not path.unassigned and element not in path.elements:
-            p.fail("E004", f"{key.name} names {element!r}, which is not on the path",
-                   element_at)
+        p.build("E004", element_at, model.PatternAssignment, fields["path"],
+                (model.Justification(element, ""),))
         p.expect(":")
         rationale, _ = p.string_value("justification")
         return model.Justification(element, rationale)
@@ -380,26 +380,10 @@ class _Justify(_Kind):
         w.line(f"{key.name} {_quote(value.element)}: {_quote(value.rationale)}")
 
 
-class _Ref(_Enum):
-    """`ref: countermeasures`, allowed on the undetectability metric only."""
-
-    default = False
-
-    def __init__(self, allowed: bool) -> None:
-        super().__init__({"countermeasures": True})
-        self.allowed = allowed
-
-    def parse(self, p, key, fields, at):
-        value = super().parse(p, key, fields, at)
-        if not self.allowed:
-            p.fail("E005", "ref: countermeasures is only allowed on the undetectability "
-                           "metric", at)
-        return value
-
-
 class _Block(_Kind):
     """`key { ... }` holding keys in canonical order. ``make`` builds the
-    model value from the fields; without it they join the parent's."""
+    model value from the fields, its refusal an E005 at the key; without
+    it they join the parent's."""
 
     word = "block"
     opener = "{"
@@ -411,7 +395,9 @@ class _Block(_Kind):
 
     def parse(self, p, key, fields, at):
         block_fields = p.parse_block(self)
-        return block_fields if self.make is None else self.make(**block_fields)
+        if self.make is None:
+            return block_fields
+        return p.build("E005", at, self.make, **block_fields)
 
     def emit(self, w, key, value):
         w.open(key.name)
@@ -427,17 +413,6 @@ _STATUS = _Key("status", _Enum({p.name.lower(): p for p in model.Presence}), _RE
 _SHARED = _Key("shared-with", _Shared(), field="shared")
 _LOCATIONS = _enum(model.Location)
 _LOCATION = _Key("location", _LOCATIONS, _REQUIRED)
-
-
-def _metric(refs_allowed: bool) -> _Block:
-    return _Block(
-        model.ChannelCharacteristic,
-        _STATUS,
-        _Key("value", _String()),
-        _Key("ref", _Ref(refs_allowed), field="refers_to_countermeasures"),
-        _SHARED,
-        _TEXT,
-    )
 
 
 _PATTERN = _Block(
@@ -475,13 +450,21 @@ _SENDER = _Block(
     _TEXT,
 )
 _RECEIVER = _Block(model.ReceiverProcess, _LOCATION, _TEXT)
-_METRIC = _metric(refs_allowed=False)
+_METRIC = _Block(
+    model.ChannelCharacteristic,
+    _STATUS,
+    _Key("value", _String()),
+    _Key("ref", _Enum({"countermeasures": True}, default=False),
+         field="refers_to_countermeasures"),
+    _SHARED,
+    _TEXT,
+)
 _CHANNEL = _Block(
     model.ChannelProperties,
     _Key("scenario", _enum(model.ChannelScenario, _EnumList), _REQUIRED, field="scenarios"),
     _Key("directness", _Directness(), _REQUIRED),
     _Key("bandwidth", _METRIC, _REQUIRED),
-    _Key("undetectability", _metric(refs_allowed=True), _REQUIRED),
+    _Key("undetectability", _METRIC, _REQUIRED),
     _Key("robustness", _METRIC, _REQUIRED),
     _Key("cost", _METRIC, _REQUIRED),
 )
@@ -602,6 +585,14 @@ class _Parser:
     def fail(self, code: str, message: str, at: int | None = None) -> None:
         raise _Fail(Diagnostic(code, message, self.loc(at)))
 
+    def build(self, code: str, at: int, make: Callable, *args, **kwargs):
+        """``make(*args, **kwargs)``: a model value, its ValueError reported
+        as ``code`` at token ``at``. A value rule is worded in the model only."""
+        try:
+            return make(*args, **kwargs)
+        except ValueError as exc:
+            self.fail(code, str(exc), at)
+
     def expect(self, kind: str, what: str | None = None) -> int:
         """Consume a token of ``kind``, which E001 names as ``what`` or
         quoted; return its index."""
@@ -703,16 +694,10 @@ class _Parser:
                 self.fail("E001", f"expected {_METHOD_WORD!r}, found {self.describe()}")
             start = self.advance()
             name, name_at = self.string_value("method name")
-            if not name:
-                self.fail("E004", "method name must be non-empty", name_at)
             self.expect("{")
             fields = self.parse_block(_METHOD)
-            try:
-                methods.append(_METHOD.make(name=name, location=self.loc(start), **fields))
-            except ValueError as exc:
-                # Structural checks above should make this unreachable;
-                # keep the parser total regardless.
-                self.fail("E001", str(exc), start)
+            methods.append(self.build("E004", name_at, _METHOD.make, name=name,
+                                      location=self.loc(start), **fields))
         return Document(methods=tuple(methods), source_file=self.file)
 
     def _skip_version_header(self) -> None:

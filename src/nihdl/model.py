@@ -5,10 +5,13 @@ assignment, application scenario, carrier requirements), the hiding
 process (sender, receiver, channel properties, optional control
 protocol) and countermeasures. All types are immutable values.
 
-Constructors enforce only the structural invariants that the file format
-cannot express at all; everything a lint rule covers (empty intermediary
-requirements, missing metric blocks, unjustified unassigned paths, ...)
-stays representable here and is reported by the validate module.
+Constructors raise ValueError for a value that breaks a rule of the
+description format (an empty name or label, a year out of range, a
+justification off the path, a binding with the wrong number of names, ...),
+and the parser reports that message as its diagnostic: each such rule is
+checked and worded here only. Everything a lint rule covers (empty
+intermediary requirements, missing metric blocks, unjustified unassigned
+paths, ...) stays representable and is reported by the validate module.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ class SharedGroup:
 
     def __post_init__(self) -> None:
         if not self.label:
-            raise ValueError("shared-group label must be non-empty")
+            raise ValueError("shared-with label must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -55,9 +58,7 @@ class PatternAssignment:
             elements = set(self.path.elements)
             for j in self.justifications:
                 if j.element not in elements:
-                    raise ValueError(
-                        f"justification names {j.element!r}, which is not on the path"
-                    )
+                    raise ValueError(f"justify names {j.element!r}, which is not on the path")
 
 
 class Purpose(Enum):
@@ -95,9 +96,9 @@ class CarrierBinding:
 
     def __post_init__(self) -> None:
         if self.kind is BindingKind.SINGLE_PROTOCOL and len(self.names) != 1:
-            raise ValueError("single-protocol binding carries exactly one name")
+            raise ValueError("single-protocol takes exactly one protocol")
         if self.kind is BindingKind.PROTOCOL_SET and len(self.names) < 2:
-            raise ValueError("protocol-set binding carries at least two names")
+            raise ValueError("protocol-set requires at least two protocols")
         if self.kind is BindingKind.FEATURE_BASED and len(self.names) < 1:
             raise ValueError("feature-based binding carries at least one feature")
         if self.kind in (BindingKind.GENERIC, BindingKind.UNSPECIFIED) and self.names:
@@ -231,8 +232,7 @@ class ChannelProperties:
             metric = getattr(self, name)
             if metric is not None and metric.refers_to_countermeasures:
                 raise ValueError(
-                    "refers-to-countermeasures is only valid on undetectability"
-                )
+                    "ref: countermeasures is only allowed on the undetectability metric")
 
     def metrics(self) -> dict[str, ChannelCharacteristic | None]:
         return {
@@ -308,6 +308,14 @@ YEAR_MIN = 1980
 YEAR_MAX = 2100
 
 
+def check_year(year: int | str) -> int:
+    """``year`` if it is an int from YEAR_MIN to YEAR_MAX, else ValueError.
+    A reader hands over a number too long to read as its digits."""
+    if not isinstance(year, int) or not YEAR_MIN <= year <= YEAR_MAX:
+        raise ValueError(f"year out of range {YEAR_MIN}-{YEAR_MAX}: {year}")
+    return year
+
+
 @dataclass(frozen=True)
 class MethodDescription:
     name: str
@@ -329,8 +337,8 @@ class MethodDescription:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("method name must be non-empty")
-        if self.year is not None and not YEAR_MIN <= self.year <= YEAR_MAX:
-            raise ValueError(f"year out of range {YEAR_MIN}-{YEAR_MAX}: {self.year}")
+        if self.year is not None:
+            check_year(self.year)
 
 
 class TrackedAttribute(Enum):

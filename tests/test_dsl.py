@@ -130,13 +130,15 @@ class TestParseDescription:
         ]
 
     def test_ref_only_on_undetectability(self):
+        """The channel refuses the ref of its bandwidth metric, so the fault
+        is reported at the `channel` key."""
         text = GAP_FILE.read_text().replace(
             'value: "5-20 bits per second"',
             'value: "5-20 bits per second"\n        ref: countermeasures',
         )
         doc, diags = dsl.parse_description(text, "t")
         assert [d.render() for d in diags] == [
-            "t:41:9: E005 error ref: countermeasures is only allowed on the "
+            "t:35:5: E005 error ref: countermeasures is only allowed on the "
             "undetectability metric"
         ]
 
@@ -156,6 +158,17 @@ class TestParseDescription:
         doc, diags = dsl.parse_description(text, "t")
         assert [d.render() for d in diags] == [
             "t:1:8: E004 error method name must be non-empty"
+        ]
+
+    def test_empty_method_name_is_refused_after_its_body(self):
+        """The method is built, and its name refused, once its block closes,
+        so a fault inside the block is reported first."""
+        text = GAP_FILE.read_text().replace(
+            'method "Model-based inter-packet gap channel"', 'method ""'
+        ).replace("year: 2008", "year: 1492")
+        doc, diags = dsl.parse_description(text, "t")
+        assert [d.render() for d in diags] == [
+            "t:3:9: E004 error year out of range 1980-2100: 1492"
         ]
 
     def test_absent_control_protocol_rejects_features(self):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+from pathlib import Path
 
 import pytest
 
@@ -199,20 +200,25 @@ def _minimal(**overrides):
 
 class TestConstructorInvariants:
     def test_year_bounds(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^year out of range 1980-2100: 1849$"):
             _minimal(year=1849)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^year out of range 1980-2100: 2101$"):
             _minimal(year=2101)
         assert _minimal(year=1980).year == 1980
 
     def test_empty_name(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^method name must be non-empty$"):
             _minimal(name="")
 
     def test_protocol_set_needs_two(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match="^protocol-set requires at least two protocols$"):
             model.CarrierBinding.protocol_set("TCP")
         assert len(model.CarrierBinding.protocol_set("TCP", "UDP").names) == 2
+
+    def test_single_protocol_takes_one(self):
+        with pytest.raises(ValueError, match="^single-protocol takes exactly one protocol$"):
+            model.CarrierBinding(model.BindingKind.SINGLE_PROTOCOL, ("TCP", "UDP"))
 
     def test_feature_based_needs_one(self):
         with pytest.raises(ValueError):
@@ -220,7 +226,8 @@ class TestConstructorInvariants:
 
     def test_refers_flag_restricted_to_undetectability(self):
         bad = model.ChannelCharacteristic(Presence.FULL, refers_to_countermeasures=True)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^ref: countermeasures is only allowed on "
+                                             "the undetectability metric$"):
             model.ChannelProperties(
                 scenarios=frozenset({model.ChannelScenario.END_TO_END}),
                 directness=model.Directness.direct(),
@@ -231,7 +238,8 @@ class TestConstructorInvariants:
             )
 
     def test_scenarios_must_be_non_empty(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match="^at least one communication scenario is required$"):
             model.ChannelProperties(
                 scenarios=frozenset(),
                 directness=model.Directness.direct(),
@@ -242,23 +250,47 @@ class TestConstructorInvariants:
             )
 
     def test_absent_control_protocol_has_no_features(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match="^an absent control protocol cannot list features$"):
             model.ControlProtocol(
                 presence=Presence.ABSENT,
                 features=frozenset({model.ControlFeature.RELIABILITY}),
             )
 
     def test_justification_must_name_a_path_element(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match="^justify names 'C', which is not on the path$"):
             model.PatternAssignment(
                 path=PatternPath.of("A", "B"),
                 justifications=(model.Justification("C", "why"),),
             )
 
     def test_shared_group_label_non_empty(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^shared-with label must be non-empty$"):
             model.SharedGroup("")
 
     def test_directness_requirements_only_for_indirect(self):
         with pytest.raises(ValueError):
             model.Directness(model.DirectnessKind.DIRECT, "something")
+
+
+# The message text of each value rule that a description file can break, as
+# the source writes it. The model words each rule once; the parser reports
+# the model's refusal rather than a copy of the rule.
+_RULE_TEXTS = {
+    "shared label": ("shared-with label must be non-empty",),
+    "justify element": ("which is not on the path",),
+    "binding name counts": ("takes exactly one protocol", "requires at least two protocols"),
+    "absent protocol": ("an absent control protocol cannot list features",),
+    "ref": ("ref: countermeasures is only allowed on the undetectability metric",),
+    "name and year": ("method name must be non-empty", "year out of range {YEAR_MIN}"),
+    "scenario": ("at least one communication scenario is required",),
+}
+
+
+@pytest.mark.parametrize("rule", _RULE_TEXTS)
+def test_value_rule_worded_once_in_the_package(rule):
+    package = Path(model.__file__).parent
+    source = "".join(path.read_text() for path in sorted(package.glob("*.py")))
+    for text in _RULE_TEXTS[rule]:
+        assert source.count(text) == 1, text
