@@ -4,7 +4,8 @@ catalog-add.
 Reports go to stdout, diagnostics to stderr. Exit status 0 means no
 error-severity diagnostics, 1 means error diagnostics were produced, and
 2 means a usage or I/O failure: any command that meets an input file it
-cannot read (E007) exits 2, whatever else it printed. NIHDL_CATALOG
+cannot read (E007) exits 2, whatever else it printed, and so does one
+whose reader closes stdout before the report is written. NIHDL_CATALOG
 supplies a default catalog path where a command takes --catalog.
 """
 
@@ -207,10 +208,8 @@ def build_report(m: model.MethodDescription) -> str:
         lines.append(f"Directness: indirect ({directness.requirements})")
     else:
         lines.append(f"Directness: {directness.kind.value}")
-    lines.extend(_metric_lines("Bandwidth", m.channel.bandwidth))
-    lines.extend(_metric_lines("Undetectability", m.channel.undetectability))
-    lines.extend(_metric_lines("Robustness", m.channel.robustness))
-    lines.extend(_metric_lines("Cost", m.channel.cost))
+    for name, metric in m.channel.metrics().items():
+        lines.extend(_metric_lines(name.capitalize(), metric))
 
     section("Control Protocol")
     control = m.control_protocol
@@ -538,12 +537,19 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+        try:
+            return args.func(args)
+        except _UsageError as exc:
+            print(f"usage error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except _Exit as exc:
+            return exc.args[0]
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # Python's "Note on SIGPIPE": on devnull, the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_USAGE
-    except _Exit as exc:
-        return exc.args[0]
 
 
 if __name__ == "__main__":

@@ -23,8 +23,7 @@ with source locations, never an unhandled exception. Diagnostic codes:
     E002  unterminated string
     E003  duplicate key or sibling in a block
     E004  value outside its domain (unknown enumeration token, bad year,
-          malformed pattern path, empty name or label, justify element
-          off the path)
+          malformed pattern path, empty name or label, justify off the path)
     E005  missing required key or block within a present block, or a
           binding or metric its block refuses
 
@@ -41,12 +40,10 @@ repeated key may appear any number of times and so is never a duplicate.
 The parser, the serializer and the validator's check for `unspecified`
 values all walk it; it is the only place key order and optionality live.
 
-Value rules (a non-empty name, a year in range, a justified element on
-the path, ...) live in the model's constructors only. The parser builds
-each model value where the file states it and reports the model's refusal
-as a diagnostic at that token. Where a rule concerns one line of a block,
-a throwaway model value asks it before the parser reads on: a `justify`
-element and a `feature` line are checked before their colon.
+Value rules (a non-empty name, a year in range, ...) live in the model's
+constructors only: the parser builds each model value where the file
+states it and reports the model's refusal at that token. A throwaway model
+value asks the rule on a `justify` element or a `feature` line before its colon.
 """
 
 from __future__ import annotations
@@ -64,6 +61,7 @@ from .taxonomy import (
     PatternCatalog,
     PatternNode,
     PatternPath,
+    TaxonomyError,
     UNASSIGNED,
 )
 
@@ -221,7 +219,7 @@ class _Shared(_Kind):
 
     def parse(self, p, key, fields, at):
         label, label_at = p.string_value(f"{key.name} label")
-        return p.build("E004", label_at, model.SharedGroup, label)
+        return p.build("E004", label_at, model.SharedGroup, {"label": label})
 
     def text(self, value):
         return _quote(value.label)
@@ -234,7 +232,7 @@ class _Year(_Kind):
         # 4,300, so the model gets a longer number as its digits, unread.
         digits = p.texts[year_at].lstrip("0") or "0"
         return p.build("E004", year_at, model.check_year,
-                       int(digits) if len(digits) <= 4 else digits)
+                       {"year": int(digits) if len(digits) <= 4 else digits})
 
     def text(self, value):
         return str(value)
@@ -288,7 +286,8 @@ class _Features(_Enum):
     opener = None
 
     def parse(self, p, key, fields, at):
-        p.build("E001", at, model.ControlProtocol, fields["presence"], frozenset(self.names))
+        p.build("E001", at, model.ControlProtocol,
+                {"presence": fields["presence"], "features": frozenset(self.names)})
         p.expect(":")
         return p.enum_member(self.mapping, key.name, fields[key.field])
 
@@ -316,7 +315,8 @@ class _Binding(_Kind):
             p.advance()
             names.append(p.string_value("name")[0])
         close = p.expect(")")
-        return p.build("E005", close, model.CarrierBinding, kind, tuple(names))
+        return p.build("E005", close, model.CarrierBinding,
+                       {"kind": kind, "names": tuple(names)})
 
     def text(self, value):
         if not value.names:
@@ -370,8 +370,8 @@ class _Justify(_Kind):
 
     def parse(self, p, key, fields, at):
         element, element_at = p.string_value("path element")
-        p.build("E004", element_at, model.PatternAssignment, fields["path"],
-                (model.Justification(element, ""),))
+        p.build("E004", element_at, model.PatternAssignment, {
+            "path": fields["path"], "justifications": (model.Justification(element, ""),)})
         p.expect(":")
         rationale, _ = p.string_value("justification")
         return model.Justification(element, rationale)
@@ -397,7 +397,7 @@ class _Block(_Kind):
         block_fields = p.parse_block(self)
         if self.make is None:
             return block_fields
-        return p.build("E005", at, self.make, **block_fields)
+        return p.build("E005", at, self.make, block_fields)
 
     def emit(self, w, key, value):
         w.open(key.name)
@@ -585,12 +585,13 @@ class _Parser:
     def fail(self, code: str, message: str, at: int | None = None) -> None:
         raise _Fail(Diagnostic(code, message, self.loc(at)))
 
-    def build(self, code: str, at: int, make: Callable, *args, **kwargs):
-        """``make(*args, **kwargs)``: a model value, its ValueError reported
-        as ``code`` at token ``at``. A value rule is worded in the model only."""
+    def build(self, code: str, at: int, make: Callable, fields: dict):
+        """``make(**fields)``, a model value; its refusal, a ValueError or
+        TaxonomyError, is reported as ``code`` at token ``at``. Fields come
+        as one dict: forwarding ``**kwargs`` would copy them twice per block."""
         try:
-            return make(*args, **kwargs)
-        except ValueError as exc:
+            return make(**fields)
+        except (ValueError, TaxonomyError) as exc:
             self.fail(code, str(exc), at)
 
     def expect(self, kind: str, what: str | None = None) -> int:
@@ -696,8 +697,8 @@ class _Parser:
             name, name_at = self.string_value("method name")
             self.expect("{")
             fields = self.parse_block(_METHOD)
-            methods.append(self.build("E004", name_at, _METHOD.make, name=name,
-                                      location=self.loc(start), **fields))
+            fields.update(name=name, location=self.loc(start))
+            methods.append(self.build("E004", name_at, _METHOD.make, fields))
         return Document(methods=tuple(methods), source_file=self.file)
 
     def _skip_version_header(self) -> None:
@@ -728,10 +729,7 @@ class _Parser:
                 self.fail("E001", f"catalog nesting deeper than {MAX_DEPTH}")
             self.advance()
             name, name_at = self.string_value("node name")
-            try:
-                PatternNode(name)
-            except InvalidNameError as exc:
-                self.fail("E004", str(exc), name_at)
+            self.build("E004", name_at, PatternNode, {"name": name})
             if name in seen:
                 self.fail("E003", f"duplicate sibling node {name!r}", name_at)
             seen.add(name)

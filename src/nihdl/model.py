@@ -5,13 +5,11 @@ assignment, application scenario, carrier requirements), the hiding
 process (sender, receiver, channel properties, optional control
 protocol) and countermeasures. All types are immutable values.
 
-Constructors raise ValueError for a value that breaks a rule of the
-description format (an empty name or label, a year out of range, a
-justification off the path, a binding with the wrong number of names, ...),
-and the parser reports that message as its diagnostic: each such rule is
-checked and worded here only. Everything a lint rule covers (empty
-intermediary requirements, missing metric blocks, unjustified unassigned
-paths, ...) stays representable and is reported by the validate module.
+Constructors refuse, with the message the parser reports, a value that
+breaks a rule of the file format (an empty name, a year out of range, ...);
+each such rule is checked and worded here only. Everything a lint rule
+covers (empty intermediary requirements, missing metric blocks, unjustified
+unassigned paths, ...) stays representable and is reported by validate.
 """
 
 from __future__ import annotations
@@ -55,9 +53,8 @@ class PatternAssignment:
 
     def __post_init__(self) -> None:
         if not self.path.unassigned:
-            elements = set(self.path.elements)
             for j in self.justifications:
-                if j.element not in elements:
+                if j.element not in self.path.elements:
                     raise ValueError(f"justify names {j.element!r}, which is not on the path")
 
 
@@ -228,11 +225,10 @@ class ChannelProperties:
     def __post_init__(self) -> None:
         if not self.scenarios:
             raise ValueError("at least one communication scenario is required")
-        for name in ("bandwidth", "robustness", "cost"):
-            metric = getattr(self, name)
-            if metric is not None and metric.refers_to_countermeasures:
-                raise ValueError(
-                    "ref: countermeasures is only allowed on the undetectability metric")
+        if any(metric is not None and metric.refers_to_countermeasures
+               for metric in (self.bandwidth, self.robustness, self.cost)):
+            raise ValueError(
+                "ref: countermeasures is only allowed on the undetectability metric")
 
     def metrics(self) -> dict[str, ChannelCharacteristic | None]:
         return {
@@ -309,8 +305,7 @@ YEAR_MAX = 2100
 
 
 def check_year(year: int | str) -> int:
-    """``year`` if it is an int from YEAR_MIN to YEAR_MAX, else ValueError.
-    A reader hands over a number too long to read as its digits."""
+    """``year`` if an int in range; a number too long for int() comes as its digits."""
     if not isinstance(year, int) or not YEAR_MIN <= year <= YEAR_MAX:
         raise ValueError(f"year out of range {YEAR_MIN}-{YEAR_MAX}: {year}")
     return year

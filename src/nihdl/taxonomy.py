@@ -10,8 +10,8 @@ leaf. All values are immutable; extension returns a new catalog.
 Pattern names match byte-wise (case-sensitive, no normalization), may not
 contain "/" (the textual path separator is " / ") or a line break, and carry
 no leading or trailing whitespace. Sibling order is author order and is preserved.
-A catalog file nests at most MAX_DEPTH levels, and extension refuses a node
-that would sit deeper.
+A catalog nests at most MAX_DEPTH levels, as deep as a catalog file may, so
+every catalog can be written to a file and read back.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 PATH_SEPARATOR = " / "
-MAX_DEPTH = 64  # levels of nesting a catalog file may hold, roots at level 1
+MAX_DEPTH = 64  # levels of nesting a catalog may hold, roots at level 1
 
 
 class TaxonomyError(Exception):
@@ -77,6 +77,15 @@ def _check_siblings(nodes: tuple[PatternNode, ...], parent: str | None) -> None:
         seen.add(node.name)
 
 
+def _check_depth(nodes: tuple[PatternNode, ...], parent: str | None, depth: int) -> None:
+    """Reject nesting deeper than MAX_DEPTH in ``nodes`` (at ``depth``) and below."""
+    for node in nodes:
+        if depth > MAX_DEPTH:
+            raise TaxonomyError(f"catalog nesting deeper than {MAX_DEPTH}: "
+                                f"{node.name!r} under {parent!r}")
+        _check_depth(node.children, node.name, depth + 1)
+
+
 @dataclass(frozen=True)
 class PatternNode:
     name: str
@@ -98,6 +107,7 @@ class PatternCatalog:
 
     def __post_init__(self) -> None:
         _check_siblings(self.roots, None)
+        _check_depth(self.roots, None, 1)
 
     @property
     def is_empty(self) -> bool:
@@ -226,9 +236,6 @@ def extend_catalog(catalog: PatternCatalog, parent: PatternPath, name: str) -> P
         raise ParentNotFoundError(f"parent path not in catalog: {parent.text}")
     if _find(target.children, name) is not None:
         raise DuplicateChildError(f"{target.name!r} already has a child named {name!r}")
-    if len(parent.elements) >= MAX_DEPTH:
-        raise TaxonomyError(f"catalog nesting deeper than {MAX_DEPTH}: {name!r} "
-                            f"under {target.name!r}")
 
     def rebuild(siblings: tuple[PatternNode, ...], depth: int) -> tuple[PatternNode, ...]:
         """``siblings`` at ``depth`` of the parent path, the new node added

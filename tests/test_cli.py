@@ -6,9 +6,13 @@ import json
 import os
 import shutil
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import nihdl
 from nihdl.cli import main
 
 from conftest import (
@@ -470,6 +474,26 @@ def test_usage_error_for_unknown_command(capsys):
 
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["render", str(SYNTHETIC_DIR / "descriptions" / "batch_00.nihd")],
+    ["stats", str(SYNTHETIC_DIR)],
+    ["tree"],
+], ids=["render", "stats", "tree"])
+def test_closed_stdout_exits_2_in_silence(argv):
+    """A command whose stdout pipe has no reader left (its read end is
+    closed before the command starts) exits 2 with nothing on stderr."""
+    env = {name: value for name, value in os.environ.items() if name != "NIHDL_CATALOG"}
+    env["PYTHONPATH"] = str(Path(nihdl.__file__).parent.parent)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run([sys.executable, "-m", "nihdl.cli", *argv],
+                                stdout=write_end, stderr=subprocess.PIPE, env=env)
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr.decode()) == (2, "")
 
 
 # Hostile inputs for every subcommand: none may end in a traceback. Each

@@ -166,6 +166,25 @@ class TestExtendCatalog:
             extend_catalog(deep, leaf, "b")
         extend_catalog(deep, PatternPath.of(*leaf.elements[:-1]), "b")
 
+    def test_catalog_deeper_than_the_limit_is_refused(self):
+        chain = PatternNode("b")
+        for _ in range(MAX_DEPTH):
+            chain = PatternNode("a", (chain,))
+        assert not PatternCatalog(roots=(chain.children[0],)).is_empty
+        with pytest.raises(TaxonomyError,
+                           match="^catalog nesting deeper than 64: 'b' under 'a'$"):
+            PatternCatalog(roots=(chain,))
+
+    def test_depth_walk_stops_at_the_first_level_too_deep(self):
+        """A chain far deeper than the recursion limit is refused at level
+        65, not walked to its end."""
+        chain = PatternNode("x")
+        for _ in range(5_000):
+            chain = PatternNode("a", (chain,))
+        with pytest.raises(TaxonomyError,
+                           match="^catalog nesting deeper than 64: 'a' under 'a'$"):
+            PatternCatalog(roots=(chain,))
+
     def test_invalid_name(self, catalog):
         parent = PatternPath.of("Network Covert Timing Channels")
         for bad in ("", "a/b", " padded ", "line\nfeed", "carriage\rreturn"):
