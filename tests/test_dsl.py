@@ -152,6 +152,8 @@ class TestParseDescription:
         ]
 
     def test_empty_method_name(self):
+        """The method is built, and its name refused, once its block closes,
+        so a fault inside the block is reported first."""
         text = GAP_FILE.read_text().replace(
             'method "Model-based inter-packet gap channel"', 'method ""'
         )
@@ -159,13 +161,7 @@ class TestParseDescription:
         assert [d.render() for d in diags] == [
             "t:1:8: E004 error method name must be non-empty"
         ]
-
-    def test_empty_method_name_is_refused_after_its_body(self):
-        """The method is built, and its name refused, once its block closes,
-        so a fault inside the block is reported first."""
-        text = GAP_FILE.read_text().replace(
-            'method "Model-based inter-packet gap channel"', 'method ""'
-        ).replace("year: 2008", "year: 1492")
+        text = text.replace("year: 2008", "year: 1492")
         doc, diags = dsl.parse_description(text, "t")
         assert [d.render() for d in diags] == [
             "t:3:9: E004 error year out of range 1980-2100: 1492"
