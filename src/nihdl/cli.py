@@ -208,8 +208,10 @@ def build_report(m: model.MethodDescription) -> str:
         lines.append(f"Directness: indirect ({directness.requirements})")
     else:
         lines.append(f"Directness: {directness.kind.value}")
-    for name, metric in m.channel.metrics().items():
-        lines.extend(_metric_lines(name.capitalize(), metric))
+    lines.extend(_metric_lines("Bandwidth", m.channel.bandwidth))
+    lines.extend(_metric_lines("Undetectability", m.channel.undetectability))
+    lines.extend(_metric_lines("Robustness", m.channel.robustness))
+    lines.extend(_metric_lines("Cost", m.channel.cost))
 
     section("Control Protocol")
     control = m.control_protocol

@@ -279,9 +279,8 @@ class _EnumList(_Enum):
 
 
 class _Features(_Enum):
-    """Repeated `key: token` lines forming a set. Before the colon, a
-    throwaway protocol asks the model whether the block's status allows
-    features at all."""
+    """Repeated `key: token` lines forming a set; before the colon, a
+    throwaway protocol asks the model whether the status allows any."""
 
     opener = None
 
@@ -382,8 +381,7 @@ class _Justify(_Kind):
 
 class _Block(_Kind):
     """`key { ... }` holding keys in canonical order. ``make`` builds the
-    model value from the fields, its refusal an E005 at the key; without
-    it they join the parent's."""
+    model value from the fields; without it they join the parent's."""
 
     word = "block"
     opener = "{"

@@ -6,10 +6,9 @@ process (sender, receiver, channel properties, optional control
 protocol) and countermeasures. All types are immutable values.
 
 Constructors refuse, with the message the parser reports, a value that
-breaks a rule of the file format (an empty name, a year out of range, ...);
-each such rule is checked and worded here only. Everything a lint rule
-covers (empty intermediary requirements, missing metric blocks, unjustified
-unassigned paths, ...) stays representable and is reported by validate.
+breaks a rule of the file format; each such rule is checked and worded here
+only. Everything a lint rule covers (empty intermediary requirements,
+missing metric blocks, ...) stays representable and is reported by validate.
 """
 
 from __future__ import annotations
