@@ -1,5 +1,6 @@
 """Lexing, parsing, diagnostics and the canonical serializer."""
 
+import hashlib
 import random
 import subprocess
 import sys
@@ -280,8 +281,29 @@ _KIND_NAMES = {"{": "LBRACE", "}": "RBRACE", "[": "LBRACKET", "]": "RBRACKET",
                         ("STRING", "c\\d", 1, 8, "c\\d"), ("EOF", "", 1, 14, None)]),
     (r'"\q\\\n\x" x', [("STRING", "\\q\\\\n\\x", 1, 1, "\\q\\\\n\\x"),
                        ("KEYWORD", "x", 1, 12, None), ("EOF", "", 1, 13, None)]),
+    ("status:", [("KEYWORD", "status", 1, 1, None), ("COLON", ":", 1, 7, None),
+                 ("EOF", "", 1, 8, None)]),
+    ("general \t{", [("KEYWORD", "general", 1, 1, None), ("LBRACE", "{", 1, 10, None),
+                     ("EOF", "", 1, 11, None)]),
+    ("key # c\n:", [("KEYWORD", "key", 1, 1, None), ("COLON", ":", 2, 1, None),
+                    ("EOF", "", 2, 2, None)]),
+    ("key\n{", [("KEYWORD", "key", 1, 1, None), ("LBRACE", "{", 2, 1, None),
+                ("EOF", "", 2, 2, None)]),
+    ("n :1", [("KEYWORD", "n", 1, 1, None), ("COLON", ":", 1, 3, None),
+              ("INT", "1", 1, 4, 1), ("EOF", "", 1, 5, None)]),
+    ("n:x", [("KEYWORD", "n", 1, 1, None), ("COLON", ":", 1, 2, None),
+             ("KEYWORD", "x", 1, 3, None), ("EOF", "", 1, 4, None)]),
+    ("1:1:", [("INT", "1", 1, 1, 1), ("COLON", ":", 1, 2, None),
+              ("INT", "1", 1, 3, 1), ("COLON", ":", 1, 4, None), ("EOF", "", 1, 5, None)]),
+    ("catalog {", [("KEYWORD", "catalog", 1, 1, None), ("LBRACE", "{", 1, 9, None),
+                   ("EOF", "", 1, 10, None)]),
+    (r'"a\"b":', [("STRING", 'a"b', 1, 1, 'a"b'), ("COLON", ":", 1, 7, None),
+                  ("EOF", "", 1, 8, None)]),
 ], ids=["lone-cr-is-blank", "relation", "relation-prefix-then-word",
-        "int-then-keyword", "escapes", "backslash-before-other-is-literal"])
+        "int-then-keyword", "escapes", "backslash-before-other-is-literal",
+        "key-then-colon", "key-then-blanks-then-brace", "comment-between-key-and-colon",
+        "newline-between-key-and-brace", "relation-cut-by-blank", "relation-cut-by-word",
+        "relation-then-colon", "catalog-brace", "string-then-colon"])
 def test_lexer_tokens(text, tokens):
     parser = dsl._Parser(text, "t")
     rows = []
@@ -290,6 +312,37 @@ def test_lexer_tokens(text, tokens):
         value = int(word) if kind == "integer" else word if kind == "string" else None
         rows.append((_KIND_NAMES[kind], word, loc.line, loc.column, value))
     assert rows == tokens
+
+
+# Pieces of random lexer input: every character the token rules treat
+# apart, and keys of both grammars, so a key often meets its opener. Odd
+# pieces end the lexing, so they are drawn one time in twenty.
+_EDGE_PIECES = [" ", "\t", "\n", "\r", "\r\n", "# c\n", ":", "{", "}", "[", "]", "(", ")",
+                ",", '"a"', '"\\""', "0", "1", "n", "m", "x", "-", "method", "status",
+                "general", "pattern", "path", "justify", "feature", "full", "catalog", "node"]
+_ODD_PIECES = ['"', "\\", "_", "\xe9", "#"]
+_EDGE_PREFIXES = ["", 'method "m" {\n', 'method "m" {\n general {\n  pattern {\n   path: "A / B"\n']
+
+
+def test_token_stream_of_random_edge_strings_is_pinned():
+    """4,000 seeded strings of edge pieces, most inside a method block: a
+    digest over each one's token lists, or its lexical diagnostic, and the
+    first diagnostic of parsing it as a description."""
+    rng = random.Random(1212)
+    digest = hashlib.sha256()
+    for i in range(4000):
+        text = _EDGE_PREFIXES[i % 3] + "".join(
+            rng.choice(_EDGE_PIECES if rng.random() < 0.95 else _ODD_PIECES)
+            for _ in range(rng.randint(1, 16)))
+        try:
+            parser = dsl._Parser(text, "r")
+            tokens = repr((parser.kinds, parser.texts, parser.offsets))
+        except dsl._Fail as failure:
+            tokens = failure.diagnostic.render()
+        _, diags = dsl.parse_description(text, "r")
+        digest.update(f"{tokens}\n{diags[0].render() if diags else 'parses'}\n".encode())
+    assert digest.hexdigest() == (
+        "cdd1a397adc71084ebd8e9d9e3f8391abbf6f75baee65bdfb696f2e4718a3a33")
 
 
 def _chain_catalog(levels):
