@@ -12,9 +12,10 @@ Tokens are held in three parallel lists, with no object per token: kinds,
 texts and offsets into the normalized text. A kind is a short string:
 the punctuation character itself, or `string`, `integer`, `keyword`,
 `relation` or `end of input`. A string's text is its decoded value; an
-integer stays digits until a year reads it. The parser walks the lists
-by index, and line and column are worked out from an offset only when a
-location is needed.
+integer stays digits until a year reads it. One regex match yields a key
+and the `:` or `{` after it, still as two tokens, and the parser steps over
+both at once. It walks the lists by index; line and column are worked out
+from an offset only when a location is needed.
 
 Parsing is total: any input yields either a value or error diagnostics
 with source locations, never an unhandled exception. Diagnostic codes:
@@ -40,14 +41,15 @@ repeated key may appear any number of times and so is never a duplicate.
 The parser, the serializer and the validator's check for `unspecified`
 values all walk it; it is the only place key order and optionality live.
 
-Value rules (a non-empty name, a year in range, ...) live in the model's
-constructors only: the parser builds each model value where the file
-states it and reports the model's refusal at that token. A throwaway model
-value asks the rule on a `justify` element or a `feature` line before its colon.
+Value rules (a non-empty name, a year in range, ...) live in the model
+only: the parser builds each model value where the file states it and
+reports the model's refusal at that token. Before its colon, a `justify`
+element or `feature` line is asked of the model's check_justified or check_features.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -95,24 +97,27 @@ class _Fail(Exception):
         self.diagnostic = diagnostic
 
 
-# One match per token: skip blanks, newlines and comments, then take the
-# first alternative that matches; its group names the token's kind, except
-# that punctuation is its own kind. A backslash escapes only `"` and `\`;
-# before any other character it is literal. Something always matches
-# after the skip (end or bad), so the skip is never backtracked into.
+# One match per token, or per keyword and the `:` or `{` after it on its
+# line, which still yields two tokens: skip blanks, newlines and comments,
+# then take the first alternative that matches; ``lastindex`` is its group
+# (the opener's closes last). A backslash escapes only `"` and `\`. After the
+# skip something always matches (end or bad), so it is never backtracked into.
 _SCAN = re.compile(r"""
     [ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*
     (?:
-        (?P<relation>[1n]:[1m](?![A-Za-z0-9:_-]))
-      | (?P<punct>[{}\[\]():,])
-      | (?P<string>"[^"\\\n\r]*(?:\\(?:["\\]|(?!["\\]))[^"\\\n\r]*)*")
-      | (?P<integer>[0-9]+)
-      | (?P<keyword>[A-Za-z][A-Za-z0-9-]*)
-      | (?P<end>\Z)
-      | (?P<bad>.)
+        ([1n]:[1m](?![A-Za-z0-9:_-]))                            # 1 relation
+      | ([{}\[\]():,])                                            # 2 punctuation
+      | "([^"\\\n\r]*(?:\\(?:["\\]|(?!["\\]))[^"\\\n\r]*)*)"      # 3 string
+      | ([0-9]+)                                                 # 4 integer
+      | ([A-Za-z][A-Za-z0-9-]*)(?:[ \t]*([:{]))?                  # 5 keyword, 6 opener
+      | (\Z)                                                     # 7 end
+      | (.)                                                      # 8 bad
     )""", re.VERBOSE | re.DOTALL)
 _ESCAPE = re.compile(r'\\(["\\])')
+_UNESCAPE = operator.itemgetter(1)  # a C callable; a template runs Python per escape
 _END = "end of input"
+# The kind of each group's token: punctuation and an opener are their own.
+_SHAPE_KINDS = (None, "relation", None, "string", "integer", "keyword", None)
 
 
 def _lex(text: str, locate: Callable[[int], SourceLocation]
@@ -125,23 +130,24 @@ def _lex(text: str, locate: Callable[[int], SourceLocation]
     offsets: list[int] = []
     add_kind, add_text, add_offset = kinds.append, texts.append, offsets.append
     for m in _SCAN.finditer(text):
-        kind = m.lastgroup
-        offset = m.start(kind)
-        word = m[kind]
-        if kind == "punct":
-            kind = word
-        elif kind == "string":
-            word = word[1:-1]
+        shape = m.lastindex
+        word = m[shape]
+        offset = m.start(shape)
+        if shape == 6:  # the keyword first, then its opener
+            add_kind("keyword")
+            add_text(m[5])
+            add_offset(m.start(5))
+        elif shape == 3:
+            offset -= 1  # at the opening quote
             if "\\" in word:
-                word = _ESCAPE.sub(r"\1", word)
-        elif kind == "end":
+                word = _ESCAPE.sub(_UNESCAPE, word)
+        elif shape == 7:
             break  # finditer would match the empty end once more
-        elif kind == "bad":
+        elif shape == 8:
             if word == '"':
                 raise _Fail(Diagnostic("E002", "unterminated string", locate(offset)))
-            raise _Fail(Diagnostic("E001", f"unexpected character {word!r}",
-                                   locate(offset)))
-        add_kind(kind)
+            raise _Fail(Diagnostic("E001", f"unexpected character {word!r}", locate(offset)))
+        add_kind(_SHAPE_KINDS[shape] or word)
         add_text(word)
         add_offset(offset)
     add_kind(_END)
@@ -279,14 +285,14 @@ class _EnumList(_Enum):
 
 
 class _Features(_Enum):
-    """Repeated `key: token` lines forming a set; before the colon, a
-    throwaway protocol asks the model whether the status allows any."""
+    """Repeated `key: token` lines forming a set; before the colon, the
+    model is asked whether the status allows any."""
 
     opener = None
 
     def parse(self, p, key, fields, at):
-        p.build("E001", at, model.ControlProtocol,
-                {"presence": fields["presence"], "features": frozenset(self.names)})
+        p.build("E001", at, model.check_features,
+                {"presence": fields["presence"], "features": self.names})
         p.expect(":")
         return p.enum_member(self.mapping, key.name, fields[key.field])
 
@@ -369,8 +375,8 @@ class _Justify(_Kind):
 
     def parse(self, p, key, fields, at):
         element, element_at = p.string_value("path element")
-        p.build("E004", element_at, model.PatternAssignment, {
-            "path": fields["path"], "justifications": (model.Justification(element, ""),)})
+        p.build("E004", element_at, model.check_justified,
+                {"path": fields["path"], "element": element})
         p.expect(":")
         rationale, _ = p.string_value("justification")
         return model.Justification(element, rationale)
@@ -628,12 +634,15 @@ class _Parser:
     def take(self, key: _Key) -> int | None:
         """Consume ``key``'s word and its kind's opener, if any, when the
         word is next; return the word's index."""
-        if self.at_keyword(key.name):
-            at = self.advance()
-            if key.kind.opener:
-                self.expect(key.kind.opener)
-            return at
-        return None
+        if self.text != key.name or self.kind != "keyword":
+            return None
+        at, opener = self.pos, key.kind.opener
+        if opener and self.kinds[at + 1] != opener:
+            self.advance()
+            self.expect(opener)
+        after = at + 2 if opener else at + 1  # one step over the word and its opener
+        self.pos, self.kind, self.text = after, self.kinds[after], self.texts[after]
+        return at
 
     def parse_block(self, block: _Block) -> dict[str, object]:
         """A block's keys in table order, through its closing brace, as

@@ -45,16 +45,19 @@ class Justification:
     rationale: str
 
 
+def check_justified(path: PatternPath, element: str) -> None:
+    if not path.unassigned and element not in path.elements:
+        raise ValueError(f"justify names {element!r}, which is not on the path")
+
+
 @dataclass(frozen=True)
 class PatternAssignment:
     path: PatternPath
     justifications: tuple[Justification, ...] = ()
 
     def __post_init__(self) -> None:
-        if not self.path.unassigned:
-            for j in self.justifications:
-                if j.element not in self.path.elements:
-                    raise ValueError(f"justify names {j.element!r}, which is not on the path")
+        for j in self.justifications:
+            check_justified(self.path, j.element)
 
 
 class Purpose(Enum):
@@ -247,6 +250,11 @@ class ControlFeature(Enum):
     APP_LAYER = "app-layer"
 
 
+def check_features(presence: Presence, features) -> None:
+    if presence is Presence.ABSENT and features:
+        raise ValueError("an absent control protocol cannot list features")
+
+
 @dataclass(frozen=True)
 class ControlProtocol:
     presence: Presence
@@ -254,8 +262,7 @@ class ControlProtocol:
     text: str | None = None
 
     def __post_init__(self) -> None:
-        if self.presence is Presence.ABSENT and self.features:
-            raise ValueError("an absent control protocol cannot list features")
+        check_features(self.presence, self.features)
 
 
 class CountermeasureKind(Enum):
