@@ -438,6 +438,8 @@ def cmd_assess(args) -> int:
 
 
 def cmd_catalog_add(args) -> int:
+    """The `added` line is printed before the write, so a closed stdout exits 2
+    with the catalog unchanged; a failed write then exits 2 after that line."""
     catalog = _catalog(args, "")
     try:
         justification = Path(args.justification).read_text(encoding="utf-8")
@@ -459,11 +461,11 @@ def cmd_catalog_add(args) -> int:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DIAGNOSTICS
     path = _catalog_path(args)
+    print(f'added "{args.name}" under {parent.text}', flush=True)
     try:
         store.atomic_write_text(Path(path), dsl.serialize_catalog(extended))
     except OSError as exc:
         raise _UsageError(f"cannot write catalog file {path}: {exc.strerror}") from None
-    print(f'added "{args.name}" under {parent.text}')
     return EXIT_OK
 
 

@@ -54,13 +54,9 @@ def open_corpus(directory: str | Path) -> Corpus:
     descriptions_dir = root / DESCRIPTIONS_DIR_NAME
     files: tuple[Path, ...] = ()
     if descriptions_dir.is_dir():
-        files = tuple(
-            sorted(
-                (p for p in descriptions_dir.iterdir()
-                 if p.is_file() and p.suffix == dsl.DESCRIPTION_SUFFIX),
-                key=lambda p: p.name,
-            )
-        )
+        # Every entry, readable or not: one that is not a readable file gets E007.
+        files = tuple(sorted((p for p in descriptions_dir.iterdir()
+                              if p.suffix == dsl.DESCRIPTION_SUFFIX), key=lambda p: p.name))
     return Corpus(
         root=root,
         catalog_file=root / CATALOG_FILE_NAME,

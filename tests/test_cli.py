@@ -496,6 +496,31 @@ def test_closed_stdout_exits_2_in_silence(argv):
     assert (result.returncode, result.stderr.decode()) == (2, "")
 
 
+def test_catalog_add_with_closed_stdout_leaves_the_catalog_unchanged(tmp_path):
+    """The `added` line goes out before the write, so a closed stdout stops
+    the command first: exit 2, nothing on stderr, the catalog's bytes as
+    they were."""
+    catalog = tmp_path / "catalog.nihc"
+    shutil.copy(CATALOG_FILE, catalog)
+    before = catalog.read_bytes()
+    why = tmp_path / "why.txt"
+    why.write_text("A distinct timing pattern.\n")
+    env = {name: value for name, value in os.environ.items() if name != "NIHDL_CATALOG"}
+    env["PYTHONPATH"] = str(Path(nihdl.__file__).parent.parent)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "nihdl.cli", "catalog-add", "--catalog", str(catalog),
+             "--parent", "Network Covert Timing Channels", "--name", "Rate Pattern",
+             "--justification", str(why)],
+            stdout=write_end, stderr=subprocess.PIPE, env=env)
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr.decode()) == (2, "")
+    assert catalog.read_bytes() == before
+
+
 # Hostile inputs for every subcommand: none may end in a traceback. Each
 # argv names placeholders that the ``hostile`` fixture fills in: a
 # directory where a file is expected, a file that is not UTF-8, a
@@ -526,6 +551,7 @@ HOSTILE_CASES = [
     ("stats-file-as-corpus", ["stats", "{gap}"], 2),
     ("stats-hostile-corpus", ["stats", "{hostile_corpus}", "--format", "csv"], 2),
     ("stats-catalog-not-utf8", ["stats", "{latin1_catalog_corpus}"], 2),
+    ("stats-symlink-corpus", ["stats", "{symlink_corpus}"], 2),
     ("compare-directory", ["compare", "{directory}"], 2),
     ("compare-not-utf8", ["compare", "{gap}", "{latin1}"], 2),
     ("compare-malformed", ["compare", "{gap}", "{malformed}"], 1),
@@ -606,10 +632,16 @@ def hostile(tmp_path):
     latin1_catalog_corpus = tmp_path / "latin1-catalog"
     shutil.copytree(empty_corpus, latin1_catalog_corpus)
     shutil.copy(latin1, latin1_catalog_corpus / "catalog.nihc")
+    symlink_corpus = tmp_path / "symlinks"
+    shutil.copytree(empty_corpus, symlink_corpus)
+    (symlink_corpus / "descriptions" / "dangling.nihd").symlink_to("missing.nihd")
+    (symlink_corpus / "descriptions" / "loop.nihd").symlink_to("loop.nihd")
+    shutil.copy(GAP_FILE, symlink_corpus / "descriptions")
     paths = dict(directory=directory, latin1=latin1, malformed=malformed,
                  huge_year=huge_year, catalog=catalog, long_name_catalog=long_name_catalog,
                  why=why, empty_corpus=empty_corpus, hostile_corpus=hostile_corpus,
-                 latin1_catalog_corpus=latin1_catalog_corpus, gap=GAP_FILE)
+                 latin1_catalog_corpus=latin1_catalog_corpus,
+                 symlink_corpus=symlink_corpus, gap=GAP_FILE)
     return {name: str(path) for name, path in paths.items()}
 
 
