@@ -40,6 +40,16 @@ def test_summarize_skips_a_pair_that_lacks_the_metric():
     assert summary == {"unit": "ms", "better": "lower", "pairs": 1, "change_wins": 1}
 
 
+def test_layers_keeps_the_median_of_each_side_where_both_report_the_metric():
+    pairs = [{"parent": {"metrics": {"a": 1.0, "b": 5.0}}, "change": {"metrics": {"a": 2.0}}},
+             {"parent": {"metrics": {"a": 3.0}}, "change": {"metrics": {"a": 4.0}}},
+             {"parent": {"metrics": {"a": 9.0}}, "change": {"metrics": {"a": 0.5}}}]
+    metrics = [{"name": "a", "unit": "ms", "better": "lower"},
+               {"name": "b", "unit": "MB/s", "better": "higher"}]
+    assert bench_pairs.layers(metrics, pairs) == {
+        "a": {"unit": "ms", "better": "lower", "parent": 3.0, "change": 2.0}}
+
+
 def _python(*lines):
     return [sys.executable, "-c", "\n".join(lines)]
 
@@ -53,6 +63,14 @@ def test_run_without_a_result_line_is_incorrect(tmp_path, command, exit_code):
     assert bench_pairs.run(command, tmp_path, "survey", 11, 0.5) == {
         "exit": exit_code, "correct": False, "attempted": 0, "failed": 0, "metrics": {},
     }
+
+
+def test_run_passes_the_trace_setting(tmp_path):
+    command = _python("import json, sys",
+                      "print(json.dumps({'correct': True, 'attempted': 1, 'failed': 0,",
+                      "                  'metrics': {'argv': {'value': sys.argv[-1]}}}))")
+    assert bench_pairs.run(command, tmp_path, "survey", 11, 0.5, trace=1)["metrics"] == {
+        "argv": "1"}
 
 
 def test_run_returns_the_metrics_of_the_last_line(tmp_path):

@@ -6,10 +6,13 @@
 Exports both commits with ``git archive`` into a temporary directory and
 runs the command of ``BENCHMARK.json`` (``perfbench/run.py``) untraced in
 each: for every workload the file names, ten pairs on seeds 11 to 20,
-each run ``run_seconds`` long. The side that runs first alternates from
-pair to pair. Writes ``BENCH_<PR>.json`` in the repository root: per
-workload and end-to-end metric, both sides' medians and quartiles and the
-number of pairs the change won (a tie counts for neither side), each
+each run ``run_seconds`` long. Then it runs three traced pairs per
+workload (``--trace 1``, seeds 11 to 13), since only a traced run reports
+per-layer metrics. The side that runs first alternates from pair to pair.
+Writes ``BENCH_<PR>.json`` in the repository root: per workload and
+end-to-end metric, both sides' medians and quartiles and the number of
+pairs the change won (a tie counts for neither side); under ``layers``,
+per per-layer metric, both sides' medians over the traced pairs; each
 run's ``correct``, ``attempted``, ``failed`` and metrics, the Python
 version and both commit ids. Progress goes to standard error.
 """
@@ -29,6 +32,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = range(11, 21)
+TRACED_SEEDS = range(11, 14)
 
 
 def git(*args: str) -> bytes:
@@ -42,11 +46,11 @@ def export(commit: str, into: Path) -> None:
 
 
 def run(command: list[str], checkout: Path, workload: str, seed: int,
-        seconds: float) -> dict:
+        seconds: float, trace: int = 0) -> dict:
     """One benchmark run; a run without a result line counts as incorrect."""
     done = subprocess.run(
         [*command, "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True)
     try:
         result = json.loads(done.stdout.splitlines()[-1])
@@ -74,6 +78,35 @@ def summarize(metric: dict, pairs: list[dict]) -> dict:
     return summary
 
 
+def layers(metrics: list[dict], pairs: list[dict]) -> dict:
+    """Both sides' medians of each per-layer metric that both sides report."""
+    summary = {}
+    for metric in metrics:
+        name = metric["name"]
+        values = {side: [p[side]["metrics"][name] for p in pairs
+                         if name in p[side]["metrics"]] for side in ("parent", "change")}
+        if values["parent"] and values["change"]:
+            summary[name] = {"unit": metric["unit"], "better": metric["better"],
+                             **{side: statistics.median(v) for side, v in values.items()}}
+    return summary
+
+
+def run_pairs(command: list[str], checkouts: dict, workloads: list[str], seeds: range,
+              seconds: float, trace: int) -> dict[str, list[dict]]:
+    """Per workload, one pair of runs per seed; the first side alternates."""
+    pairs: dict[str, list[dict]] = {w: [] for w in workloads}
+    for i, seed in enumerate(seeds):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for workload in workloads:
+            pair = {"seed": seed, "first": order[0]}
+            for side in order:
+                pair[side] = run(command, checkouts[side], workload, seed, seconds, trace)
+                print(f"{workload} seed {seed} trace {trace} {side}: {pair[side]}",
+                      file=sys.stderr)
+            pairs[workload].append(pair)
+    return pairs
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", help="commit to measure as the baseline")
@@ -84,29 +117,26 @@ def main(argv=None) -> int:
     commits = {side: git("rev-parse", "--verify", f"{ref}^{{commit}}").decode().strip()
                for side, ref in (("parent", args.parent), ("change", args.change))}
     workloads = [w["name"] for w in bench["workloads"]]
-    pairs: dict[str, list[dict]] = {w: [] for w in workloads}
     with tempfile.TemporaryDirectory() as tmp:
         checkouts = {side: Path(tmp) / side for side in commits}
         for side, commit in commits.items():
             export(commit, checkouts[side])
-        for i, seed in enumerate(SEEDS):
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            for workload in workloads:
-                pair = {"seed": seed, "first": order[0]}
-                for side in order:
-                    pair[side] = run(bench["command"], checkouts[side], workload, seed,
-                                     bench["run_seconds"])
-                    print(f"{workload} seed {seed} {side}: {pair[side]}", file=sys.stderr)
-                pairs[workload].append(pair)
+        pairs = run_pairs(bench["command"], checkouts, workloads, SEEDS,
+                          bench["run_seconds"], trace=0)
+        traced = run_pairs(bench["command"], checkouts, workloads, TRACED_SEEDS,
+                           bench["run_seconds"], trace=1)
     report = {
         "parent": commits["parent"],
         "change": commits["change"],
         "python": platform.python_version(),
         "run_seconds": bench["run_seconds"],
         "seeds": list(SEEDS),
+        "traced_seeds": list(TRACED_SEEDS),
         "workloads": {w: {"metrics": {m["name"]: summarize(m, pairs[w])
                                       for m in bench["end_to_end"]},
-                          "runs": pairs[w]}
+                          "layers": layers(bench["per_layer"], traced[w]),
+                          "runs": pairs[w],
+                          "traced_runs": traced[w]}
                       for w in workloads},
     }
     out = ROOT / f"BENCH_{args.pr}.json"
