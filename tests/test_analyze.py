@@ -1,6 +1,7 @@
 """Coverage analytics, histograms, reports and the comparison matrix."""
 
 import dataclasses
+import hashlib
 import json
 import random
 import shutil
@@ -10,6 +11,7 @@ import pytest
 
 from nihdl import dsl, model
 from nihdl.analyze import (
+    MATRIX_COLUMNS,
     UnknownAttributeError,
     combined_groups,
     comparison_matrix,
@@ -20,10 +22,11 @@ from nihdl.analyze import (
     pattern_histogram,
 )
 from nihdl.cli import main
+from nihdl.diagnostics import SourceLocation
 from nihdl.model import Presence, TrackedAttribute, coverage
-from nihdl.taxonomy import list_leaves
+from nihdl.taxonomy import list_leaves, seed_catalog
 
-from conftest import CATALOG_FILE, DHCP_FILE, GAP_FILE
+from conftest import CATALOG_FILE, DHCP_FILE, GAP_FILE, SYNTHETIC_DIR
 from randgen import description
 
 
@@ -323,3 +326,80 @@ def test_stats_to_dict_shape(capsys, tmp_path):
     assert payload["attributes"]["bandwidth"]["covered_pct"] == "100.0"
     assert payload["unassigned"] == 0
     assert "unknown" in payload["by_year"]
+
+
+def _survey_corpus(seed: int = 13, size: int = 300) -> list[model.MethodDescription]:
+    """Randgen methods regrouped as a survey would see them: about five
+    methods per source, shared labels drawn from three names, repeated
+    method names, unknown years and unresolvable paths (randgen's own)."""
+    rng = random.Random(seed)
+    paths = list_leaves(seed_catalog())
+    sources = [None, *(f"pub-{k}" for k in range(60))]
+    labels = [model.SharedGroup(f"eval-{k}") for k in range(3)]
+
+    def relabel(part):
+        if part is None or part.shared is None:
+            return part
+        return dataclasses.replace(part, shared=rng.choice(labels))
+
+    methods = []
+    for i in range(size):
+        m = description(rng, paths, method_name=f"m{i % 250}")
+        methods.append(dataclasses.replace(
+            m,
+            source=rng.choice(sources),
+            scenario=relabel(m.scenario),
+            carrier=relabel(m.carrier),
+            channel=dataclasses.replace(m.channel, bandwidth=relabel(m.channel.bandwidth),
+                                        robustness=relabel(m.channel.robustness)),
+            location=SourceLocation(f"r{i // 3}.nihd", 1 + 40 * (i % 3), 1),
+        ))
+    return methods
+
+
+def _synthetic_corpus():
+    catalog, _ = dsl.parse_catalog(
+        (SYNTHETIC_DIR / "catalog.nihc").read_text(encoding="utf-8"), "catalog.nihc")
+    methods = []
+    for path in sorted((SYNTHETIC_DIR / "descriptions").glob("*.nihd")):
+        doc, _ = dsl.parse_description(path.read_text(encoding="utf-8"), path.name)
+        methods.extend(doc.methods)
+    return methods, catalog
+
+
+def _analytics_digest(methods, catalog) -> str:
+    """SHA-256 of the repr of every analytics result over one corpus."""
+    stats = corpus_stats(methods, catalog)
+    report = (
+        stats,
+        stats.diagnostics,
+        combined_groups(methods),
+        inconsistency_report(methods),
+        comparison_matrix(methods, list(MATRIX_COLUMNS)),
+        [completeness(m) for m in methods],
+    )
+    return hashlib.sha256(repr(report).encode("utf-8")).hexdigest()
+
+
+def test_analytics_outputs_are_pinned():
+    # Pinned before the coverage row was cached on the method; any change
+    # to how analytics folds the rows must leave every value as it was.
+    survey = _survey_corpus()
+    synthetic, synthetic_catalog = _synthetic_corpus()
+    assert len(survey) == 300 and len(synthetic) == 131
+    stats = corpus_stats(survey, seed_catalog())
+    # The corpus reaches every branch: E110/E111 diagnostics, inconsistent
+    # sources, and labels both shared and flagged.
+    assert len(stats.diagnostics) == 45 and len(inconsistency_report(survey)) == 316
+    groups = combined_groups(survey)
+    assert any(g.attributes for g in groups) and any(g.flagged for g in groups)
+    digests = {
+        "survey": _analytics_digest(survey, seed_catalog()),
+        "synthetic": _analytics_digest(synthetic, synthetic_catalog),
+        "empty": _analytics_digest([], seed_catalog()),
+    }
+    assert digests == {
+        "survey": "a9ee362d14c874479f88c342c8182ec6bd68774c6c28f22ba68d14296f8dac46",
+        "synthetic": "936af56d4e447ed3e9c4043f3bb64d7dcf4cf1304bb1c1489b1e0cf102ac0f13",
+        "empty": "e1262b3cacf197f77697579123fb29ebbe54e08fd0fbabeb7c1586b4767088b8",
+    }
