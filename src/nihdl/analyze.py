@@ -2,10 +2,10 @@
 combined-evaluation groups, within-publication inconsistencies and
 comparison matrices.
 
-Every aggregate folds over coverage rows: ``model.coverage`` reads a
-method's blocks once into its six (presence, group) pairs, and each
-public function computes one row per method and derives its result from
-those rows alone. Ratios are exact rationals and are rendered at one
+Every aggregate folds over coverage rows: a method's six (presence,
+group) pairs are computed once, when the method is built, and
+``model.coverage`` returns them; each public function derives its result
+from those rows alone. Ratios are exact rationals and are rendered at one
 decimal percent; "covered" means fully or partially present. Aggregation
 is order independent, so results are deterministic for a given corpus.
 """
@@ -18,6 +18,7 @@ from fractions import Fraction
 from .diagnostics import Diagnostic
 from .model import (
     CoverageRow,
+    Directness,
     DirectnessKind,
     MethodDescription,
     Presence,
@@ -33,13 +34,17 @@ class UnknownAttributeError(ValueError):
     pass
 
 
-_PRESENCE_CELL = {Presence.FULL: "Yes", Presence.PARTIAL: "Par", Presence.ABSENT: "No"}
+_ATTRIBUTES = tuple(TrackedAttribute)
+
+#: A tracked attribute's matrix cell, indexed by presence, then by whether
+#: it carries a combined-description group.
+_PRESENCE_CELLS = tuple((cell, cell + ",combined") for cell in ("No", "Par", "Yes"))
 
 #: Extra comparison-matrix columns beyond the six tracked attributes.
 RELATION_COLUMN = "relation"
 DIRECTNESS_COLUMN = "directness"
 
-MATRIX_COLUMNS = tuple(a.key for a in TrackedAttribute) + (
+MATRIX_COLUMNS = tuple(a.key for a in _ATTRIBUTES) + (
     RELATION_COLUMN,
     DIRECTNESS_COLUMN,
 )
@@ -61,13 +66,16 @@ class CoverageVector:
     aggregate: Fraction
 
 
+#: Every possible score, indexed by the sum of a row's presences.
+_SCORES = tuple(CoverageVector(Fraction(total, 2 * len(_ATTRIBUTES)))
+                for total in range(2 * len(_ATTRIBUTES) + 1))
+
+
 def completeness(d: MethodDescription) -> CoverageVector:
     """Coverage of the six tracked attributes; aggregate maps full to 1,
     partial to 1/2, absent to 0 and averages over the six."""
-    row = coverage(d)
     # Presence values are 0, 1 and 2, so their sum is 2*full + partial.
-    total = sum(presence for presence, _ in row)
-    return CoverageVector(Fraction(total, 2 * len(row)))
+    return _SCORES[sum([presence for presence, _ in coverage(d)])]
 
 
 @dataclass(frozen=True)
@@ -95,12 +103,13 @@ class AttributeCounts:
 
 
 def _count_attributes(rows: list[CoverageRow]) -> dict[TrackedAttribute, AttributeCounts]:
-    tallies = [[0, 0, 0] for _ in TrackedAttribute]  # absent, partial, full
-    for row in rows:
-        for tally, (presence, _) in zip(tallies, row):
-            tally[presence] += 1
-    return {attr: AttributeCounts(full, partial, absent)
-            for attr, (absent, partial, full) in zip(TrackedAttribute, tallies)}
+    counts = dict.fromkeys(_ATTRIBUTES, AttributeCounts())
+    for attr, column in zip(_ATTRIBUTES, zip(*rows)):
+        presences = [presence for presence, _ in column]
+        counts[attr] = AttributeCounts(presences.count(Presence.FULL),
+                                       presences.count(Presence.PARTIAL),
+                                       presences.count(Presence.ABSENT))
+    return counts
 
 
 @dataclass(frozen=True)
@@ -135,23 +144,31 @@ def pattern_histogram(
     Leaf counts plus the unassigned count always add up to the corpus size.
     """
     unassigned = 0
-    raw: dict[PatternPath, int] = {}
+    # Keyed by elements, which identify a path once unassigned ones are
+    # out, and hash without a call into the PatternPath dataclass.
+    raw: dict[tuple[str, ...], int] = {}
+    stated: dict[tuple[str, ...], PatternPath] = {}
     diagnostics: list[Diagnostic] = []
     for m in methods:
         path = m.pattern.path
         if path.unassigned:
             unassigned += 1
             continue
-        if path not in raw and (unresolved := unresolved_path(catalog, path)):
+        elements = path.elements
+        if elements in raw:
+            raw[elements] += 1
+            continue
+        raw[elements] = 1
+        stated[elements] = path
+        if unresolved := unresolved_path(catalog, path):
             diagnostics.append(Diagnostic(*unresolved, location=m.location,
                                           method_name=m.name))
-        raw[path] = raw.get(path, 0) + 1
     counts: dict[PatternPath, int] = {}
     for leaf in list_leaves(catalog):
-        if leaf in raw:
-            counts[leaf] = raw.pop(leaf)
-    for path in sorted(raw, key=lambda p: p.text):
-        counts[path] = raw[path]
+        if leaf.elements in raw:
+            counts[leaf] = raw.pop(leaf.elements)
+    for elements in sorted(raw, key=lambda e: stated[e].text):
+        counts[stated[elements]] = raw[elements]
     return counts, unassigned, diagnostics
 
 
@@ -196,7 +213,7 @@ def combined_groups(methods: list[MethodDescription]) -> list[CombinedGroup]:
     carriers: dict[tuple[str | None, str], dict[TrackedAttribute, set[str]]] = {}
     members: dict[tuple[str | None, str], list[str]] = {}
     for m in methods:
-        for attr, (_, shared) in zip(TrackedAttribute, coverage(m)):
+        for attr, (_, shared) in zip(_ATTRIBUTES, coverage(m)):
             if shared is None:
                 continue
             key = (m.source, shared.label)
@@ -208,7 +225,7 @@ def combined_groups(methods: list[MethodDescription]) -> list[CombinedGroup]:
     for key, by_attr in carriers.items():
         source, label = key
         shared_attrs = tuple(
-            attr for attr in TrackedAttribute if len(by_attr.get(attr, ())) >= 2
+            attr for attr in _ATTRIBUTES if len(by_attr.get(attr, ())) >= 2
         )
         rows.append(
             CombinedGroup(
@@ -242,24 +259,15 @@ def inconsistency_report(methods: list[MethodDescription]) -> list[Inconsistency
     for source, group in by_source.items():
         if len(group) < 2:
             continue
-        columns = zip(*(coverage(m) for m in group))
-        for attr, column in zip(TrackedAttribute, columns):
-            presences = tuple((m.name, p) for m, (p, _) in zip(group, column))
-            if len({p for _, p in presences}) > 1:
-                rows.append(InconsistencyRow(source, attr, presences))
+        names = [m.name for m in group]
+        for attr, column in zip(_ATTRIBUTES, zip(*[coverage(m) for m in group])):
+            presences = [presence for presence, _ in column]
+            if presences.count(presences[0]) != len(presences):
+                rows.append(InconsistencyRow(source, attr, tuple(zip(names, presences))))
     return rows
 
 
-def _matrix_cell(method: MethodDescription, row: CoverageRow, index: int) -> str:
-    # ``index`` is the column's position in MATRIX_COLUMNS; the first six
-    # are the tracked attributes, in coverage-row order.
-    if index < len(row):
-        presence, shared = row[index]
-        cell = _PRESENCE_CELL[presence]
-        return cell + ",combined" if shared is not None else cell
-    if MATRIX_COLUMNS[index] == RELATION_COLUMN:
-        return "No" if method.sender.relation is Relation.UNSPECIFIED else "Yes"
-    directness = method.channel.directness
+def _directness_cell(directness: Directness) -> str:
     if directness.kind is DirectnessKind.UNSPECIFIED:
         return "No"
     if directness.kind is DirectnessKind.INDIRECT and not directness.requirements.strip():
@@ -267,6 +275,15 @@ def _matrix_cell(method: MethodDescription, row: CoverageRow, index: int) -> str
         # a partially covered directness.
         return "Par"
     return "Yes"
+
+
+def _matrix_row(method: MethodDescription) -> list[str]:
+    """Every cell of one method, in MATRIX_COLUMNS order."""
+    cells = [_PRESENCE_CELLS[presence][shared is not None]
+             for presence, shared in coverage(method)]
+    cells.append("No" if method.sender.relation is Relation.UNSPECIFIED else "Yes")
+    cells.append(_directness_cell(method.channel.directness))
+    return cells
 
 
 def comparison_matrix(
@@ -284,6 +301,5 @@ def comparison_matrix(
                 f"unknown attribute {column!r}; known: {', '.join(MATRIX_COLUMNS)}"
             )
     indexes = [MATRIX_COLUMNS.index(column) for column in attributes]
-    rows = [coverage(m) for m in methods]
-    return [[_matrix_cell(m, row, i) for i in indexes] for m, row in zip(methods, rows)]
+    return [[cells[i] for i in indexes] for cells in map(_matrix_row, methods)]
 

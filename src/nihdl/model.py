@@ -340,6 +340,9 @@ class MethodDescription:
             raise ValueError("method name must be non-empty")
         if self.year is not None:
             check_year(self.year)
+        # The coverage row is derived from the fields, so it is kept as a
+        # plain attribute: not a field, and left out of ==, hash and repr.
+        object.__setattr__(self, "_coverage", _coverage_row(self))
 
 
 class TrackedAttribute(Enum):
@@ -369,7 +372,12 @@ def coverage(d: MethodDescription) -> CoverageRow:
     presence is derived from the entries: FULL once at least one entry was
     evaluated, PARTIAL when entries exist but none was, ABSENT without
     entries. Countermeasures and the control protocol carry no group.
+    The row is computed once, when the description is built.
     """
+    return d._coverage
+
+
+def _coverage_row(d: MethodDescription) -> CoverageRow:
     bandwidth = d.channel.bandwidth
     robustness = d.channel.robustness
     if not d.countermeasures:

@@ -1,6 +1,8 @@
 """Domain type invariants, attribute presence and normalization."""
 
+import copy
 import dataclasses
+import pickle
 import random
 from pathlib import Path
 
@@ -71,6 +73,46 @@ def test_coverage_matches_reference_rule():
         assert coverage(d) == expected, d.name
         checked += 1
     assert checked == 131 + 400
+
+
+def _fresh_row(d):
+    return tuple(_reference_presence(d, attr) for attr in TrackedAttribute)
+
+
+def test_coverage_row_follows_every_way_of_making_a_value():
+    # The row is computed once, when a description is built; every way of
+    # making another description must give that one its own, current row.
+    rng = random.Random(20152)
+    paths = list_leaves(seed_catalog())
+    for _ in range(60):
+        d = description(rng, paths)
+        absent = model.ChannelCharacteristic(Presence.ABSENT)
+        lowered = dataclasses.replace(
+            d, scenario=None, control_protocol=None, countermeasures=(),
+            carrier=dataclasses.replace(d.carrier, presence=Presence.ABSENT, shared=None),
+            channel=dataclasses.replace(d.channel, bandwidth=absent, robustness=absent))
+        assert coverage(lowered) == ((Presence.ABSENT, None),) * 6
+        for other in (lowered, normalize(d), pickle.loads(pickle.dumps(d)),
+                      copy.deepcopy(d), copy.copy(d)):
+            assert coverage(other) == _fresh_row(other), d.name
+
+
+def test_coverage_row_is_not_a_field():
+    # perfbench's canonical() and dataclasses.asdict walk these fields.
+    assert [f.name for f in dataclasses.fields(model.MethodDescription)] == [
+        "name", "pattern", "carrier", "sender", "receiver", "channel", "source",
+        "year", "scenario", "control_protocol", "countermeasures", "warden",
+        "location"]
+    rng = random.Random(20153)
+    paths = list_leaves(seed_catalog())
+    for _ in range(20):
+        d = description(rng, paths)
+        twin = copy.copy(d)
+        # A row no description can have: only the cached value differs.
+        object.__setattr__(twin, "_coverage", ())
+        assert twin == d and hash(twin) == hash(d)
+        assert repr(twin) == repr(d)
+        assert dataclasses.asdict(twin) == dataclasses.asdict(d)
 
 
 def _by_attribute(d):
