@@ -127,7 +127,10 @@ def build_index(
     """Write ``index.tsv``: one row per method with its completeness score.
 
     Returns the data rows and any parse/resolution diagnostics. Methods
-    from files that fail to parse are absent from the index.
+    from files that fail to parse are absent from the index. The corpus is
+    always read and parsed again through ``load_all``, even when the
+    caller has just parsed every file, so a lint-then-index pass parses
+    the corpus twice.
     """
     documents, diagnostics = load_all(corpus)
     rows: list[tuple[str, ...]] = []

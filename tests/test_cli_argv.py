@@ -206,7 +206,7 @@ def _run(argv: list[str], env_catalog: str | None, monkeypatch) -> tuple[int, st
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
-        except BaseException as exc:  # noqa: BLE001 - any escape is the failure
+        except Exception as exc:  # any escape is the failure; name its command line
             pytest.fail(f"{argv!r} (NIHDL_CATALOG={env_catalog!r}) raised {exc!r}")
     return code, out.getvalue(), err.getvalue()
 
