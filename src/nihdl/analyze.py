@@ -103,6 +103,7 @@ class AttributeCounts:
 
 
 def _count_attributes(rows: list[CoverageRow]) -> dict[TrackedAttribute, AttributeCounts]:
+    # An empty corpus has no columns, so every attribute starts at zero.
     counts = dict.fromkeys(_ATTRIBUTES, AttributeCounts())
     for attr, column in zip(_ATTRIBUTES, zip(*rows)):
         presences = [presence for presence, _ in column]
