@@ -1,6 +1,7 @@
 """End-to-end command behaviour: streams, exit codes, formats."""
 
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -13,7 +14,8 @@ from pathlib import Path
 import pytest
 
 import nihdl
-from nihdl.cli import main
+from nihdl import model
+from nihdl.cli import build_report, main
 
 from conftest import (
     CATALOG_FILE,
@@ -147,12 +149,26 @@ class TestRenderCommand:
         assert code == 0
         assert "SDP o-tag" in out and "Link quality" not in out
 
-    @pytest.mark.parametrize("path", [GAP_FILE, DHCP_FILE, JOINT_FILE],
-                             ids=lambda path: path.stem)
+    # The synthetic batches add generic bindings, control features, an
+    # unassigned path and a method without an application scenario; the last
+    # file adds a protocol-set binding and a warden.
+    @pytest.mark.parametrize("path", [
+        GAP_FILE, DHCP_FILE, JOINT_FILE,
+        SYNTHETIC_DIR / "descriptions" / "batch_00.nihd",
+        SYNTHETIC_DIR / "descriptions" / "batch_13.nihd",
+        FIXTURES / "protocol_set_warden.nihd",
+    ], ids=lambda path: path.stem)
     def test_report_bytes(self, capsys, path):
         code, out, err = run(capsys, ["render", str(path)])
         assert code == 0 and err == ""
         assert out == (GOLDEN / f"{path.stem}.render.txt").read_text(encoding="utf-8")
+
+    def test_missing_metric_block(self, gap_method):
+        channel = dataclasses.replace(gap_method.channel, bandwidth=None)
+        report = build_report(model.normalize(dataclasses.replace(gap_method, channel=channel)))
+        lines = (GOLDEN / "gap_channel.render.txt").read_text(encoding="utf-8").splitlines()
+        at = lines.index("Bandwidth: full (value: 5-20 bits per second)")
+        assert report.splitlines() == lines[:at] + ["Bandwidth: (block missing)"] + lines[at + 2:]
 
 
 class TestTreeCommand:
@@ -165,6 +181,11 @@ class TestTreeCommand:
         code, out, _ = run(capsys, ["tree", *CAT])
         assert code == 0
         assert out == (GOLDEN / "seed_tree.txt").read_text()
+
+    def test_empty_catalog(self, capsys, tmp_path):
+        empty = tmp_path / "empty.nihc"
+        empty.write_text("catalog {}\n")
+        assert run(capsys, ["tree", "--catalog", str(empty)]) == (0, "", "(empty catalog)\n")
 
 
 STATS_FORMATS = [("table", "txt"), ("csv", "csv"), ("json", "json")]
