@@ -211,32 +211,24 @@ class CombinedGroup:
 def combined_groups(methods: list[MethodDescription]) -> list[CombinedGroup]:
     """One row per (source, label), listing the attributes that at least two
     methods of that source describe jointly under the label."""
-    carriers: dict[tuple[str | None, str], dict[TrackedAttribute, set[str]]] = {}
-    members: dict[tuple[str | None, str], list[str]] = {}
+    # Per (source, label): each member's name, in first-seen order, and the
+    # attributes it describes under the label.
+    groups: dict[tuple[str | None, str], dict[str, set[TrackedAttribute]]] = {}
     for m in methods:
         for attr, (_, shared) in zip(_ATTRIBUTES, coverage(m)):
-            if shared is None:
-                continue
-            key = (m.source, shared.label)
-            carriers.setdefault(key, {}).setdefault(attr, set()).add(m.name)
-            group = members.setdefault(key, [])
-            if m.name not in group:
-                group.append(m.name)
+            if shared is not None:
+                groups.setdefault((m.source, shared.label), {}).setdefault(
+                    m.name, set()).add(attr)
     rows = []
-    for key, by_attr in carriers.items():
-        source, label = key
-        shared_attrs = tuple(
-            attr for attr in _ATTRIBUTES if len(by_attr.get(attr, ())) >= 2
-        )
-        rows.append(
-            CombinedGroup(
-                source=source,
-                label=label,
-                members=tuple(members[key]),
-                attributes=shared_attrs,
-                flagged=len(members[key]) < 2,
-            )
-        )
+    for (source, label), members in groups.items():
+        carried = [attr for attrs in members.values() for attr in attrs]
+        rows.append(CombinedGroup(
+            source=source,
+            label=label,
+            members=tuple(members),
+            attributes=tuple(attr for attr in _ATTRIBUTES if carried.count(attr) >= 2),
+            flagged=len(members) < 2,
+        ))
     return rows
 
 

@@ -44,7 +44,8 @@ values all walk it; it is the only place key order and optionality live.
 Value rules (a non-empty name, a year in range, ...) live in the model
 only: the parser builds each model value where the file states it and
 reports the model's refusal at that token. Before its colon, a `justify`
-element or `feature` line is asked of the model's check_justified or check_features.
+element or `feature` line is asked of the model's check_justified or check_features;
+a catalog node's name is asked of the taxonomy's check_name before its block.
 """
 
 from __future__ import annotations
@@ -65,6 +66,7 @@ from .taxonomy import (
     PatternPath,
     TaxonomyError,
     UNASSIGNED,
+    check_name,
 )
 
 DESCRIPTION_SUFFIX = ".nihd"
@@ -736,7 +738,7 @@ class _Parser:
                 self.fail("E001", f"catalog nesting deeper than {MAX_DEPTH}")
             self.advance()
             name, name_at = self.string_value("node name")
-            self.build("E004", name_at, PatternNode, {"name": name})
+            self.build("E004", name_at, check_name, {"name": name})
             if name in seen:
                 self.fail("E003", f"duplicate sibling node {name!r}", name_at)
             seen.add(name)

@@ -47,7 +47,8 @@ class InvalidNameError(TaxonomyError):
     pass
 
 
-def _check_name(name: str) -> str:
+def check_name(name: str) -> str:
+    """``name`` if it is a valid pattern name, else InvalidNameError."""
     if not name:
         raise InvalidNameError("pattern name must be non-empty")
     if "/" in name:
@@ -92,7 +93,7 @@ class PatternNode:
     children: tuple[PatternNode, ...] = ()
 
     def __post_init__(self) -> None:
-        _check_name(self.name)
+        check_name(self.name)
         _check_siblings(self.children, self.name)
 
     @property
@@ -129,7 +130,7 @@ class PatternPath:
         if self.unassigned and self.elements:
             raise ValueError("an unassigned path carries no elements")
         for element in self.elements:
-            _check_name(element)
+            check_name(element)
 
     @classmethod
     def of(cls, *elements: str) -> PatternPath:
@@ -230,7 +231,7 @@ def extend_catalog(catalog: PatternCatalog, parent: PatternPath, name: str) -> P
     name, and TaxonomyError when the new node would sit deeper than
     MAX_DEPTH.
     """
-    _check_name(name)
+    check_name(name)
     target = resolve_path(catalog, parent).node
     if target is None:
         raise ParentNotFoundError(f"parent path not in catalog: {parent.text}")

@@ -73,13 +73,13 @@ def validate(
         diags.append(Diagnostic(code, message, d.location, d.name))  # type: ignore[arg-type]
 
     path = d.pattern.path
+    justified = {j.element for j in d.pattern.justifications if j.rationale.strip()}
     if path.unassigned:
-        if not any(j.rationale.strip() for j in d.pattern.justifications):
+        if not justified:
             report("E112", "unassigned pattern requires a justification")
     else:
         if unresolved := unresolved_path(catalog, path):
             report(*unresolved)
-        justified = {j.element for j in d.pattern.justifications if j.rationale.strip()}
         for element in path.elements:
             if element not in justified:
                 report("W200", f"path element {element!r} has no justify entry")
@@ -94,18 +94,16 @@ def validate(
         if metric is None:
             report("E130", f"channel metric block {name!r} is missing")
 
-    entries_by_kind: dict[model.CountermeasureKind, list[model.CountermeasureEntry]] = {}
-    for entry in d.countermeasures:
-        entries_by_kind.setdefault(entry.kind, []).append(entry)
+    kinds = {entry.kind for entry in d.countermeasures}
     for kind in (model.CountermeasureKind.ELIMINATION, model.CountermeasureKind.DETECTION):
-        if kind not in entries_by_kind:
+        if kind not in kinds:
             report("E140", f"no {kind.value} countermeasure entry "
                            "(applicable or not-applicable)")
-    applicable_elimination = any(
-        e.applicability is model.Applicability.APPLICABLE
-        for e in entries_by_kind.get(model.CountermeasureKind.ELIMINATION, [])
-    )
-    if model.CountermeasureKind.LIMITATION not in entries_by_kind and not applicable_elimination:
+    if model.CountermeasureKind.LIMITATION not in kinds and not any(
+        e.kind is model.CountermeasureKind.ELIMINATION
+        and e.applicability is model.Applicability.APPLICABLE
+        for e in d.countermeasures
+    ):
         report("E141", "no limitation entry and the channel has no applicable elimination")
     for entry in d.countermeasures:
         if entry.applicability is model.Applicability.NOT_APPLICABLE and not (
@@ -130,7 +128,7 @@ def validate(
     if (
         undetectability is not None
         and undetectability.presence is model.Presence.ABSENT
-        and model.CountermeasureKind.DETECTION not in entries_by_kind
+        and model.CountermeasureKind.DETECTION not in kinds
     ):
         report("W203", "undetectability is absent and no detection entry covers it")
 
