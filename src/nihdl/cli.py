@@ -413,7 +413,7 @@ def cmd_compare(args) -> int:
     methods: list[model.MethodDescription] = []
     for file_name in args.files:
         methods.extend(_read_document(file_name).methods)
-    attributes = [a.strip() for a in args.attributes.split(",") if a.strip()]
+    attributes = [a.strip() for a in args.attributes.split(",")]
     try:
         matrix = analyze.comparison_matrix(methods, attributes)
     except analyze.UnknownAttributeError as exc:
@@ -449,6 +449,9 @@ def cmd_catalog_add(args) -> int:
         raise _UsageError("the justification file is empty")
     try:
         parent = PatternPath.from_text(args.parent)
+    except InvalidNameError as exc:
+        raise _UsageError(f"malformed --parent path: {exc}") from None
+    try:
         candidate = novelty.BigCCandidate(
             parent=parent,
             proposed_name=args.name,

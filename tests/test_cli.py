@@ -546,8 +546,9 @@ def test_catalog_add_with_closed_stdout_leaves_the_catalog_unchanged(tmp_path):
 # argv names placeholders that the ``hostile`` fixture fills in: a
 # directory where a file is expected, a file that is not UTF-8, a
 # description that does not parse, a year with more digits than int()
-# reads, corpora without content, and catalog-add values or a catalog that
-# cannot be stored; a few omit a required --catalog. Each case's stderr is
+# reads, corpora without content, empty --attributes items, and catalog-add
+# values, a blank justification or a catalog that cannot be stored; a few
+# omit a required --catalog. Each case's stderr is
 # pinned in tests/golden/hostile_stderr.txt.
 HOSTILE_CASES = [
     ("validate-directory", ["validate", "{directory}", "--catalog", "{catalog}"], 2),
@@ -576,6 +577,8 @@ HOSTILE_CASES = [
     ("compare-directory", ["compare", "{directory}"], 2),
     ("compare-not-utf8", ["compare", "{gap}", "{latin1}"], 2),
     ("compare-malformed", ["compare", "{gap}", "{malformed}"], 1),
+    ("compare-empty-attributes", ["compare", "{gap}", "--attributes", ""], 2),
+    ("compare-comma-attributes", ["compare", "{gap}", "--attributes", "bandwidth,"], 2),
     ("assess-directory", ["assess", "{directory}", "--catalog", "{catalog}"], 2),
     ("assess-not-utf8", ["assess", "{latin1}", "--catalog", "{catalog}"], 2),
     ("assess-malformed", ["assess", "{malformed}", "--catalog", "{catalog}"], 1),
@@ -606,6 +609,15 @@ HOSTILE_CASES = [
     ("catalog-add-name-carriage-return",
      ["catalog-add", "--catalog", "{catalog}", "--parent", "Network Covert Timing Channels",
       "--name", "Rate\rPattern", "--justification", "{why}"], 2),
+    ("catalog-add-parent-empty-element",
+     ["catalog-add", "--catalog", "{catalog}", "--parent", "a /  / a",
+      "--name", "Rate Pattern", "--justification", "{why}"], 2),
+    ("catalog-add-parent-empty",
+     ["catalog-add", "--catalog", "{catalog}", "--parent", "",
+      "--name", "Rate Pattern", "--justification", "{why}"], 2),
+    ("catalog-add-justification-blank",
+     ["catalog-add", "--catalog", "{catalog}", "--parent", "Network Covert Timing Channels",
+      "--name", "Rate Pattern", "--justification", "{blank_why}"], 2),
 ]
 
 
@@ -641,6 +653,8 @@ def hostile(tmp_path):
     shutil.copy(CATALOG_FILE, long_name_catalog)
     why = tmp_path / "why.txt"
     why.write_text("Signals information through sending rates.\n")
+    blank_why = tmp_path / "blank_why.txt"
+    blank_why.write_text(" \t\n\n")
     empty_corpus = tmp_path / "empty"
     (empty_corpus / "descriptions").mkdir(parents=True)
     shutil.copy(CATALOG_FILE, empty_corpus / "catalog.nihc")
@@ -660,7 +674,7 @@ def hostile(tmp_path):
     shutil.copy(GAP_FILE, symlink_corpus / "descriptions")
     paths = dict(directory=directory, latin1=latin1, malformed=malformed,
                  huge_year=huge_year, catalog=catalog, long_name_catalog=long_name_catalog,
-                 why=why, empty_corpus=empty_corpus, hostile_corpus=hostile_corpus,
+                 why=why, blank_why=blank_why, empty_corpus=empty_corpus, hostile_corpus=hostile_corpus,
                  latin1_catalog_corpus=latin1_catalog_corpus,
                  symlink_corpus=symlink_corpus, gap=GAP_FILE)
     return {name: str(path) for name, path in paths.items()}
