@@ -1,4 +1,5 @@
-"""tools/bench_pairs.py: pair summaries and reading one run's result line.
+"""tools/bench_pairs.py: pair summaries, operation counts and reading one
+run's result line.
 
 The benchmark itself is never run; each run is a small Python command that
 prints what `perfbench/run.py` would.
@@ -38,6 +39,17 @@ def test_summarize_skips_a_pair_that_lacks_the_metric():
     del pairs[1]["change"]["metrics"]["m"]
     summary = bench_pairs.summarize({"name": "m", "unit": "ms", "better": "lower"}, pairs)
     assert summary == {"unit": "ms", "better": "lower", "pairs": 1, "change_wins": 1}
+
+
+def test_operations_sum_each_side_and_count_its_incorrect_runs():
+    pairs = [{"parent": {"correct": True, "attempted": 10, "failed": 0},
+              "change": {"correct": True, "attempted": 12, "failed": 1}},
+             {"parent": {"correct": False, "attempted": 0, "failed": 0},
+              "change": {"correct": False, "attempted": 7, "failed": 2}}]
+    assert bench_pairs.operations(pairs) == {
+        "parent": {"attempted": 10, "failed": 0, "incorrect_runs": 1},
+        "change": {"attempted": 19, "failed": 3, "incorrect_runs": 1},
+    }
 
 
 def test_layers_keeps_the_median_of_each_side_where_both_report_the_metric():

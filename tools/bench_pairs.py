@@ -11,10 +11,14 @@ workload (``--trace 1``, seeds 11 to 13), since only a traced run reports
 per-layer metrics. The side that runs first alternates from pair to pair.
 Writes ``BENCH_<PR>.json`` in the repository root: per workload and
 end-to-end metric, both sides' medians and quartiles and the number of
-pairs the change won (a tie counts for neither side); under ``layers``,
-per per-layer metric, both sides' medians over the traced pairs; each
-run's ``correct``, ``attempted``, ``failed`` and metrics, the Python
-version and both commit ids. Progress goes to standard error.
+pairs the change won (a tie counts for neither side); under
+``operations``, per side, the ``attempted`` and ``failed`` operations
+summed over the untraced runs and the number of ``incorrect_runs``, so a
+growing share of failed operations shows without reading every run;
+under ``layers``, per per-layer metric, both sides' medians over the
+traced pairs; each run's ``correct``, ``attempted``, ``failed`` and
+metrics, the Python version and both commit ids. Progress goes to
+standard error.
 """
 
 from __future__ import annotations
@@ -78,6 +82,15 @@ def summarize(metric: dict, pairs: list[dict]) -> dict:
     return summary
 
 
+def operations(pairs: list[dict]) -> dict:
+    """Per side, operations attempted and failed over all runs, and the runs
+    that were not correct."""
+    return {side: {"attempted": sum(p[side]["attempted"] for p in pairs),
+                   "failed": sum(p[side]["failed"] for p in pairs),
+                   "incorrect_runs": sum(not p[side]["correct"] for p in pairs)}
+            for side in ("parent", "change")}
+
+
 def layers(metrics: list[dict], pairs: list[dict]) -> dict:
     """Both sides' medians of each per-layer metric that both sides report."""
     summary = {}
@@ -134,6 +147,7 @@ def main(argv=None) -> int:
         "traced_seeds": list(TRACED_SEEDS),
         "workloads": {w: {"metrics": {m["name"]: summarize(m, pairs[w])
                                       for m in bench["end_to_end"]},
+                          "operations": operations(pairs[w]),
                           "layers": layers(bench["per_layer"], traced[w]),
                           "runs": pairs[w],
                           "traced_runs": traced[w]}
