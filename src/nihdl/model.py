@@ -346,8 +346,8 @@ class MethodDescription:
         # Python 3.11 that reads the instance's __dict__, which gives up its
         # inline attribute values, and attribute reads on 800 methods then
         # took 3-4x longer. Over three alternating 10 s `analytics` pairs
-        # methods_per_s fell from 48,869 / 51,412 / 48,817 to 46,964 /
-        # 46,213 / 44,450, and p50 rose in all three.
+        # (Python 3.11.7, 2 vCPUs) methods_per_s fell from 48,869 / 51,412 /
+        # 48,817 to 46,964 / 46,213 / 44,450, and p50 rose in all three.
         object.__setattr__(self, "_coverage", _coverage_row(self))
 
 

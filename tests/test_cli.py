@@ -674,7 +674,8 @@ def hostile(tmp_path):
     shutil.copy(GAP_FILE, symlink_corpus / "descriptions")
     paths = dict(directory=directory, latin1=latin1, malformed=malformed,
                  huge_year=huge_year, catalog=catalog, long_name_catalog=long_name_catalog,
-                 why=why, blank_why=blank_why, empty_corpus=empty_corpus, hostile_corpus=hostile_corpus,
+                 why=why, blank_why=blank_why, empty_corpus=empty_corpus,
+                 hostile_corpus=hostile_corpus,
                  latin1_catalog_corpus=latin1_catalog_corpus,
                  symlink_corpus=symlink_corpus, gap=GAP_FILE)
     return {name: str(path) for name, path in paths.items()}
