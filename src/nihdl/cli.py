@@ -7,19 +7,22 @@ error-severity diagnostics, 1 means error diagnostics were produced, and
 cannot read (E007) exits 2, whatever else it printed, and so does one
 whose reader closes stdout before the report is written. NIHDL_CATALOG
 supplies a default catalog path where a command takes --catalog.
+
+Imports: what every command's argument parsing and the shared helpers
+need is imported at module level; a module only some commands use
+(``analyze``, ``novelty``, ``json``, ``csv``) is imported inside the
+command that uses it, so each command loads only what it runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import sys
 from collections.abc import Iterable
 from pathlib import Path
 
-from . import analyze, dsl, model, novelty, store
+from . import dsl, model, store
 from .validate import ValidationMode, validate_document
 from .diagnostics import Diagnostic, Severity
 from .taxonomy import (
@@ -293,6 +296,8 @@ def _print_sections(fmt: str, sections: list[tuple[str, list[list[str]], set[int
     separated by blank lines, or as aligned text under their titles, after
     ``head``."""
     if fmt == "csv":
+        import csv
+
         writer = csv.writer(sys.stdout, lineterminator="\n")
         for i, (_, rows, _) in enumerate(sections):
             if i:
@@ -306,8 +311,9 @@ def _print_sections(fmt: str, sections: list[tuple[str, list[list[str]], set[int
     print("\n\n".join(blocks))
 
 
-def _attribute_counts(counts: dict[model.TrackedAttribute, analyze.AttributeCounts]) -> dict:
-    """Counts per tracked attribute; ``covered_pct`` is null when no method counts."""
+def _attribute_counts(counts: dict) -> dict:
+    """Counts per tracked attribute, from ``analyze.AttributeCounts`` by
+    ``TrackedAttribute``; ``covered_pct`` is null when no method counts."""
     return {
         attr.key: {
             "full": c.full,
@@ -320,6 +326,8 @@ def _attribute_counts(counts: dict[model.TrackedAttribute, analyze.AttributeCoun
 
 
 def cmd_stats(args) -> int:
+    from . import analyze
+
     try:
         corpus = store.open_corpus(args.corpus)
         catalog = _checked_catalog(corpus.catalog_file, *store.load_catalog(corpus))
@@ -366,6 +374,8 @@ def cmd_stats(args) -> int:
             for row in analyze.inconsistency_report(methods)
         ]
     if args.format == "json":
+        import json
+
         print(json.dumps(report, indent=2))
         return status
 
@@ -410,6 +420,8 @@ def cmd_stats(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_compare(args) -> int:
+    from . import analyze
+
     methods: list[model.MethodDescription] = []
     for file_name in args.files:
         methods.extend(_read_document(file_name).methods)
@@ -430,6 +442,8 @@ def cmd_compare(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_assess(args) -> int:
+    from . import novelty
+
     catalog = _catalog(args, " for assessment")
     document = _read_document(args.file)
     for method in document.methods:
@@ -440,6 +454,8 @@ def cmd_assess(args) -> int:
 def cmd_catalog_add(args) -> int:
     """The `added` line is printed before the write, so a closed stdout exits 2
     with the catalog unchanged; a failed write then exits 2 after that line."""
+    from . import novelty
+
     catalog = _catalog(args, "")
     try:
         justification = Path(args.justification).read_text(encoding="utf-8")

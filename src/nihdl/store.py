@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import dsl
-from .analyze import completeness, pattern_histogram
 from .diagnostics import Diagnostic
 from .taxonomy import PatternCatalog
 
@@ -132,6 +131,8 @@ def build_index(
     caller has just parsed every file, so a lint-then-index pass parses
     the corpus twice.
     """
+    from .analyze import completeness, pattern_histogram
+
     documents, diagnostics = load_all(corpus)
     rows: list[tuple[str, ...]] = []
     methods = []

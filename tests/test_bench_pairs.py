@@ -104,3 +104,74 @@ def test_run_returns_the_metrics_of_the_last_line(tmp_path):
             "cwd": str(tmp_path),
         },
     }
+
+
+def _runs(*values, better="lower"):
+    """Pairs of correct runs; None leaves a side's run failed, without metrics."""
+    def side(value):
+        if value is None:
+            return {"correct": False, "metrics": {}}
+        return {"correct": True, "metrics": {"m": value}}
+    return [{"parent": side(old), "change": side(new)} for old, new in values]
+
+
+_METRIC = {"name": "m", "unit": "ms", "better": "lower", "bound": 0.25}
+
+
+def test_verdict_claims_a_gain_on_nine_of_ten_wins_beyond_the_parent_spread():
+    pairs = _runs(*[(10.0 + i % 2, 8.0) for i in range(9)], (10.0, 12.0))
+    assert bench_pairs.verdict(_METRIC, pairs) == {"gain": True, "within_bound": True}
+
+
+def test_verdict_counts_a_failed_change_run_against_the_change():
+    # Eight wins of ten pairs run, though the change wins every pair it finished.
+    pairs = _runs(*[(10.0 + i % 2, 8.0) for i in range(8)], (10.0, None), (11.0, 8.0))
+    pairs[9]["change"]["correct"] = False
+    assert bench_pairs.summarize(_METRIC, pairs)["change_wins"] == 9
+    assert bench_pairs.verdict(_METRIC, pairs) == {"gain": False, "within_bound": True}
+    pairs[9]["change"]["correct"] = True
+    assert bench_pairs.verdict(_METRIC, pairs) == {"gain": True, "within_bound": True}
+
+
+def test_verdict_claims_no_gain_inside_the_parent_quartiles():
+    # The change wins every pair, but by less than the parent's q3 - q1 (2.0).
+    pairs = _runs(*[(9.0 + i % 4, 9.0 + i % 4 - 0.5) for i in range(10)])
+    assert bench_pairs.verdict(_METRIC, pairs) == {"gain": False, "within_bound": True}
+
+
+@pytest.mark.parametrize("better, new, within", [
+    ("lower", 12.5, True), ("lower", 12.6, False),
+    ("higher", 7.5, True), ("higher", 7.4, False), ("higher", 20.0, True),
+])
+def test_verdict_within_bound_is_a_share_of_the_parent_median(better, new, within):
+    metric = dict(_METRIC, better=better)
+    pairs = _runs(*[(10.0, new)] * 10)
+    assert bench_pairs.verdict(metric, pairs)["within_bound"] is within
+
+
+def test_verdict_without_change_values_is_neither_gain_nor_within_bound():
+    pairs = _runs(*[(10.0, None)] * 10)
+    assert bench_pairs.verdict(_METRIC, pairs) == {"gain": False, "within_bound": False}
+
+
+def test_run_keeps_the_stderr_tail_of_a_failed_run(tmp_path):
+    command = _python("import sys", "sys.stderr.write('x' * 3000 + 'Traceback: boom')",
+                      "sys.exit(1)")
+    result = bench_pairs.run(command, tmp_path, "cli", 11, 0.5)
+    assert result["exit"] == 1 and not result["correct"]
+    assert len(result["stderr_tail"]) == 2000
+    assert result["stderr_tail"].endswith("x" * 1985 + "Traceback: boom")
+
+
+def test_run_keeps_the_stderr_tail_of_an_incorrect_run_that_exits_zero(tmp_path):
+    command = _python("import json, sys", "sys.stderr.write('digest differs')",
+                      "print(json.dumps({'correct': False, 'attempted': 3, 'failed': 3,",
+                      "                  'metrics': {}}))")
+    assert bench_pairs.run(command, tmp_path, "cli", 11, 0.5)["stderr_tail"] == "digest differs"
+
+
+def test_run_drops_the_stderr_of_a_correct_run(tmp_path):
+    command = _python("import json, sys", "sys.stderr.write('progress')",
+                      "print(json.dumps({'correct': True, 'attempted': 1, 'failed': 0,",
+                      "                  'metrics': {}}))")
+    assert "stderr_tail" not in bench_pairs.run(command, tmp_path, "cli", 11, 0.5)

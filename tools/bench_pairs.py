@@ -10,14 +10,16 @@ each run ``run_seconds`` long. Then it runs three traced pairs per
 workload (``--trace 1``, seeds 11 to 13), since only a traced run reports
 per-layer metrics. The side that runs first alternates from pair to pair.
 Writes ``BENCH_<PR>.json`` in the repository root: per workload and
-end-to-end metric, both sides' medians and quartiles and the number of
-pairs the change won (a tie counts for neither side); under
+end-to-end metric, both sides' medians and quartiles, the number of
+pairs the change won (a tie counts for neither side) and two verdicts,
+``gain`` and ``within_bound`` (see ``verdict``); under
 ``operations``, per side, the ``attempted`` and ``failed`` operations
 summed over the untraced runs and the number of ``incorrect_runs``, so a
 growing share of failed operations shows without reading every run;
 under ``layers``, per per-layer metric, both sides' medians over the
 traced pairs; each run's ``correct``, ``attempted``, ``failed`` and
-metrics, the Python version and both commit ids. Progress goes to
+metrics, with the last 2,000 characters of its standard error when it
+failed, the Python version and both commit ids. Progress goes to
 standard error.
 """
 
@@ -37,6 +39,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = range(11, 21)
 TRACED_SEEDS = range(11, 14)
+SIDES = ("parent", "change")
+STDERR_TAIL = 2000
 
 
 def git(*args: str) -> bytes:
@@ -51,7 +55,8 @@ def export(commit: str, into: Path) -> None:
 
 def run(command: list[str], checkout: Path, workload: str, seed: int,
         seconds: float, trace: int = 0) -> dict:
-    """One benchmark run; a run without a result line counts as incorrect."""
+    """One benchmark run; a run without a result line counts as incorrect. A
+    run that exits non-zero or is not correct keeps the end of its stderr."""
     done = subprocess.run(
         [*command, "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
@@ -60,9 +65,12 @@ def run(command: list[str], checkout: Path, workload: str, seed: int,
         result = json.loads(done.stdout.splitlines()[-1])
     except (IndexError, json.JSONDecodeError):
         result = {"correct": False, "attempted": 0, "failed": 0, "metrics": {}}
-    return {"exit": done.returncode, "correct": result["correct"],
-            "attempted": result["attempted"], "failed": result["failed"],
-            "metrics": {name: m["value"] for name, m in result["metrics"].items()}}
+    record = {"exit": done.returncode, "correct": result["correct"],
+              "attempted": result["attempted"], "failed": result["failed"],
+              "metrics": {name: m["value"] for name, m in result["metrics"].items()}}
+    if (done.returncode or not result["correct"]) and done.stderr:
+        record["stderr_tail"] = done.stderr[-STDERR_TAIL:]
+    return record
 
 
 def spread(values: list[float]) -> dict:
@@ -82,13 +90,35 @@ def summarize(metric: dict, pairs: list[dict]) -> dict:
     return summary
 
 
+def verdict(metric: dict, pairs: list[dict]) -> dict:
+    """``gain``: the change wins at least nine tenths of all pairs run, and its
+    median is better than the parent's by more than the parent's q3 - q1.
+    ``within_bound``: the change's median is worse than the parent's by no
+    more than ``bound``, a share of the parent's median. Only a correct run
+    has a value, and a pair in which either side has none counts against the
+    change; medians and quartiles are taken over each side's values, and
+    both verdicts are false without two parent values and one change value."""
+    name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
+    values = {side: [p[side]["metrics"].get(name) if p[side]["correct"] else None
+                     for p in pairs] for side in SIDES}
+    wins = sum(old is not None and new is not None and sign * (new - old) > 0
+               for old, new in zip(values["parent"], values["change"]))
+    present = {side: [v for v in values[side] if v is not None] for side in SIDES}
+    if len(present["parent"]) < 2 or not present["change"]:
+        return {"gain": False, "within_bound": False}
+    parent = spread(present["parent"])
+    better_by = sign * (statistics.median(present["change"]) - parent["median"])
+    return {"gain": wins >= 0.9 * len(pairs) and better_by > parent["q3"] - parent["q1"],
+            "within_bound": -better_by <= metric["bound"] * abs(parent["median"])}
+
+
 def operations(pairs: list[dict]) -> dict:
     """Per side, operations attempted and failed over all runs, and the runs
     that were not correct."""
     return {side: {"attempted": sum(p[side]["attempted"] for p in pairs),
                    "failed": sum(p[side]["failed"] for p in pairs),
                    "incorrect_runs": sum(not p[side]["correct"] for p in pairs)}
-            for side in ("parent", "change")}
+            for side in SIDES}
 
 
 def layers(metrics: list[dict], pairs: list[dict]) -> dict:
@@ -97,7 +127,7 @@ def layers(metrics: list[dict], pairs: list[dict]) -> dict:
     for metric in metrics:
         name = metric["name"]
         values = {side: [p[side]["metrics"][name] for p in pairs
-                         if name in p[side]["metrics"]] for side in ("parent", "change")}
+                         if name in p[side]["metrics"]] for side in SIDES}
         if values["parent"] and values["change"]:
             summary[name] = {"unit": metric["unit"], "better": metric["better"],
                              **{side: statistics.median(v) for side, v in values.items()}}
@@ -145,7 +175,8 @@ def main(argv=None) -> int:
         "run_seconds": bench["run_seconds"],
         "seeds": list(SEEDS),
         "traced_seeds": list(TRACED_SEEDS),
-        "workloads": {w: {"metrics": {m["name"]: summarize(m, pairs[w])
+        "workloads": {w: {"metrics": {m["name"]: {**summarize(m, pairs[w]),
+                                                  **verdict(m, pairs[w])}
                                       for m in bench["end_to_end"]},
                           "operations": operations(pairs[w]),
                           "layers": layers(bench["per_layer"], traced[w]),
