@@ -9,7 +9,7 @@ submodule, is imported on first access (PEP 562), so a program pays only
 for the parts it uses; ``from nihdl import *`` loads them all.
 """
 
-import importlib
+import sys
 
 __version__ = "0.1.0"
 
@@ -46,12 +46,19 @@ _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = [*_ORIGIN, *_EXPORTS]
 
 
+def _submodule(name: str):
+    # __import__ runs the import statement's machinery, which -X importtime
+    # times; importlib.import_module would fold the submodule into its caller.
+    __import__(f"{__name__}.{name}")
+    return sys.modules[f"{__name__}.{name}"]
+
+
 def __getattr__(name: str):
     if name in _EXPORTS:
-        return importlib.import_module(f"{__name__}.{name}")
+        return _submodule(name)
     if name not in _ORIGIN:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{_ORIGIN[name]}"), name)
+    value = getattr(_submodule(_ORIGIN[name]), name)
     globals()[name] = value
     return value
 

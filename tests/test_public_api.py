@@ -1,12 +1,19 @@
-"""The package's public surface: every name ``nihdl`` exports, and the
-README's library example."""
+"""The package's public surface: every name ``nihdl`` exports, the
+README's library example, and what each entry point imports."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
-from conftest import GAP_FILE
+import pytest
+
+import nihdl
+from conftest import CATALOG_FILE, GAP_FILE, SYNTHETIC_DIR
 
 README = Path(__file__).parent.parent / "README.md"
+SRC = Path(nihdl.__file__).parent.parent
 
 EXPORTS = """
     AttributeCounts CombinedGroup CorpusStats CoverageVector InconsistencyRow
@@ -44,3 +51,79 @@ def test_readme_library_example_runs():
     assert namespace["diagnostics"] == []
     assert namespace["findings"] == []
     assert namespace["stats"].total == 1
+
+
+SUBMODULES = "analyze diagnostics dsl model novelty store taxonomy validate".split()
+
+
+def _fresh(*lines: str) -> tuple[set[str], str]:
+    """Run ``lines`` in a new interpreter on this source tree; return the
+    modules they add to a bare interpreter's ``sys.modules``, and stdout."""
+    script = "\n".join([
+        "import sys", "_before = set(sys.modules)", *lines,
+        "sys.stdout.flush()",
+        "sys.__stdout__.write('\\n' + ' '.join(sorted(set(sys.modules) - _before)))",
+    ])
+    env = {k: v for k, v in os.environ.items() if k != "NIHDL_CATALOG"}
+    env["PYTHONPATH"] = str(SRC)
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    output, _, modules = done.stdout.rpartition("\n")
+    return set(modules.split()), output
+
+
+def test_import_nihdl_loads_no_submodule():
+    added, _ = _fresh("import nihdl")
+    assert "nihdl" in added
+    assert not [m for m in added if m.startswith("nihdl.")]
+
+
+HEAVY = {"nihdl.analyze", "nihdl.novelty", "fractions", "json", "csv"}
+
+
+@pytest.mark.parametrize("run", [
+    "",
+    f"cli.main(['validate', '--catalog', {str(CATALOG_FILE)!r}, {str(GAP_FILE)!r}])",
+], ids=["import", "validate"])
+def test_validate_loads_neither_analytics_nor_novelty(run):
+    added, _ = _fresh("import nihdl.cli", "cli = nihdl.cli", run)
+    assert "nihdl.cli" in added
+    assert added & HEAVY == set()
+
+
+def test_stats_loads_analyze_when_it_runs():
+    added, output = _fresh(
+        "import nihdl.cli",
+        "assert 'nihdl.analyze' not in sys.modules",
+        "cli = nihdl.cli",
+        f"cli.main(['stats', {str(SYNTHETIC_DIR)!r}, '--format', 'json'])")
+    assert {"nihdl.analyze", "json"} <= added
+    assert '"total": 131' in output
+
+
+def test_star_import_binds_the_exports_and_the_submodules():
+    _, output = _fresh("namespace = {}", "exec('from nihdl import *', namespace)",
+                       "print(*sorted(set(namespace) - {'__builtins__'}))")
+    names = output.split()
+    assert sorted(names) == sorted(set(EXPORTS) - {"__version__"} | set(SUBMODULES))
+    assert len(names) == 73
+
+
+def test_all_and_dir_list_every_export():
+    exports = set(EXPORTS) - {"__version__"}
+    assert exports <= set(nihdl.__all__)
+    assert exports <= set(dir(nihdl))
+    assert set(SUBMODULES) <= set(dir(nihdl))
+
+
+def test_submodules_resolve_as_attributes_after_a_plain_import():
+    lines = [f"assert type(nihdl.{m}).__name__ == 'module'"
+             f" and nihdl.{m}.__name__ == 'nihdl.{m}'" for m in SUBMODULES]
+    added, _ = _fresh("import nihdl", *lines)
+    assert {f"nihdl.{m}" for m in SUBMODULES} <= added
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError) as raised:
+        nihdl.no_such_name
+    assert str(raised.value) == "module 'nihdl' has no attribute 'no_such_name'"
