@@ -109,7 +109,7 @@ def verdict(metric: dict, pairs: list[dict]) -> dict:
     parent = spread(present["parent"])
     better_by = sign * (statistics.median(present["change"]) - parent["median"])
     return {"gain": wins >= 0.9 * len(pairs) and better_by > parent["q3"] - parent["q1"],
-            "within_bound": -better_by <= metric["bound"] * abs(parent["median"])}
+            "within_bound": -better_by <= metric["bound"] * parent["median"]}
 
 
 def operations(pairs: list[dict]) -> dict:
