@@ -69,7 +69,7 @@ def _read_document(path: str) -> dsl.Document:
 
 
 def _catalog_path(args) -> str | None:
-    return args.catalog or os.environ.get("NIHDL_CATALOG")
+    return args.catalog or os.environ.get("NIHDL_CATALOG") or None
 
 
 def _catalog(args, required: str | None = None, status: int = EXIT_OK) -> PatternCatalog:

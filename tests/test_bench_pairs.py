@@ -1,5 +1,6 @@
-"""tools/bench_pairs.py: pair summaries, operation counts and reading one
-run's result line.
+"""tools/bench_pairs.py: the summary of a metric over pairs, checked also
+against the committed BENCH_<pr>.json records, operation counts, running
+pairs and reading one run's result line.
 
 The benchmark itself is never run; each run is a small Python command that
 prints what `perfbench/run.py` would.
@@ -12,22 +13,26 @@ from pathlib import Path
 
 import pytest
 
-_SPEC = importlib.util.spec_from_file_location(
-    "bench_pairs", Path(__file__).parent.parent / "tools" / "bench_pairs.py")
+ROOT = Path(__file__).parent.parent
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
 bench_pairs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_pairs)
 
 
 def _pairs(*values):
-    return [{"parent": {"metrics": {"m": old}}, "change": {"metrics": {"m": new}}}
-            for old, new in values]
+    return [{"parent": {"correct": True, "metrics": {"m": old}},
+             "change": {"correct": True, "metrics": {"m": new}}} for old, new in values]
+
+
+def _keys(summary, *keys):
+    return {key: summary[key] for key in keys}
 
 
 @pytest.mark.parametrize("better, wins", [("lower", 1), ("higher", 2)])
 def test_summarize_counts_wins_by_direction_and_a_tie_for_neither(better, wins):
     pairs = _pairs((5.0, 4.0), (5.0, 5.0), (5.0, 6.0), (5.0, 7.0))
-    summary = bench_pairs.summarize({"name": "m", "unit": "ms", "better": better}, pairs)
-    assert summary == {
+    summary = bench_pairs.compare({"name": "m", "unit": "ms", "better": better}, pairs)
+    assert _keys(summary, "unit", "better", "pairs", "change_wins", "parent", "change") == {
         "unit": "ms", "better": better, "pairs": 4, "change_wins": wins,
         "parent": {"median": 5.0, "q1": 5.0, "q3": 5.0},
         "change": {"median": 5.5, "q1": 4.75, "q3": 6.25},
@@ -35,10 +40,14 @@ def test_summarize_counts_wins_by_direction_and_a_tie_for_neither(better, wins):
 
 
 def test_summarize_skips_a_pair_that_lacks_the_metric():
+    # The pair still counts as run, and against the change; one change value
+    # gives no quartiles, so no verdict.
     pairs = _pairs((5.0, 4.0), (5.0, 4.0))
     del pairs[1]["change"]["metrics"]["m"]
-    summary = bench_pairs.summarize({"name": "m", "unit": "ms", "better": "lower"}, pairs)
-    assert summary == {"unit": "ms", "better": "lower", "pairs": 1, "change_wins": 1}
+    summary = bench_pairs.compare({"name": "m", "unit": "ms", "better": "lower"}, pairs)
+    assert summary == {"unit": "ms", "better": "lower", "pairs": 2, "change_wins": 1,
+                       "parent": {"median": 5.0, "q1": 5.0, "q3": 5.0},
+                       "gain": False, "loss": False}
 
 
 def test_operations_sum_each_side_and_count_its_incorrect_runs():
@@ -53,13 +62,22 @@ def test_operations_sum_each_side_and_count_its_incorrect_runs():
 
 
 def test_layers_keeps_the_median_of_each_side_where_both_report_the_metric():
+    # A per-layer metric has no bound, so no within_bound; "b", which only one
+    # parent run reports, gets no quartiles and no verdict.
     pairs = [{"parent": {"metrics": {"a": 1.0, "b": 5.0}}, "change": {"metrics": {"a": 2.0}}},
              {"parent": {"metrics": {"a": 3.0}}, "change": {"metrics": {"a": 4.0}}},
              {"parent": {"metrics": {"a": 9.0}}, "change": {"metrics": {"a": 0.5}}}]
+    for pair in pairs:
+        pair["parent"]["correct"] = pair["change"]["correct"] = True
     metrics = [{"name": "a", "unit": "ms", "better": "lower"},
                {"name": "b", "unit": "MB/s", "better": "higher"}]
-    assert bench_pairs.layers(metrics, pairs) == {
-        "a": {"unit": "ms", "better": "lower", "parent": 3.0, "change": 2.0}}
+    assert {m["name"]: bench_pairs.compare(m, pairs) for m in metrics} == {
+        "a": {"unit": "ms", "better": "lower", "pairs": 3, "change_wins": 1,
+              "parent": {"median": 3.0, "q1": 2.0, "q3": 6.0},
+              "change": {"median": 2.0, "q1": 1.25, "q3": 3.0},
+              "gain": False, "loss": False},
+        "b": {"unit": "MB/s", "better": "higher", "pairs": 3, "change_wins": 0,
+              "gain": False, "loss": False}}
 
 
 def _python(*lines):
@@ -118,25 +136,48 @@ def _runs(*values, better="lower"):
 _METRIC = {"name": "m", "unit": "ms", "better": "lower", "bound": 0.25}
 
 
+def _verdicts(metric, pairs):
+    return _keys(bench_pairs.compare(metric, pairs), "gain", "within_bound")
+
+
 def test_verdict_claims_a_gain_on_nine_of_ten_wins_beyond_the_parent_spread():
     pairs = _runs(*[(10.0 + i % 2, 8.0) for i in range(9)], (10.0, 12.0))
-    assert bench_pairs.verdict(_METRIC, pairs) == {"gain": True, "within_bound": True}
+    assert _verdicts(_METRIC, pairs) == {"gain": True, "within_bound": True}
 
 
 def test_verdict_counts_a_failed_change_run_against_the_change():
     # Eight wins of ten pairs run, though the change wins every pair it finished.
     pairs = _runs(*[(10.0 + i % 2, 8.0) for i in range(8)], (10.0, None), (11.0, 8.0))
     pairs[9]["change"]["correct"] = False
-    assert bench_pairs.summarize(_METRIC, pairs)["change_wins"] == 9
-    assert bench_pairs.verdict(_METRIC, pairs) == {"gain": False, "within_bound": True}
+    assert bench_pairs.compare(_METRIC, pairs)["change_wins"] == 8
+    assert _verdicts(_METRIC, pairs) == {"gain": False, "within_bound": True}
     pairs[9]["change"]["correct"] = True
-    assert bench_pairs.verdict(_METRIC, pairs) == {"gain": True, "within_bound": True}
+    assert _verdicts(_METRIC, pairs) == {"gain": True, "within_bound": True}
 
 
 def test_verdict_claims_no_gain_inside_the_parent_quartiles():
     # The change wins every pair, but by less than the parent's q3 - q1 (2.0).
     pairs = _runs(*[(9.0 + i % 4, 9.0 + i % 4 - 0.5) for i in range(10)])
-    assert bench_pairs.verdict(_METRIC, pairs) == {"gain": False, "within_bound": True}
+    assert _verdicts(_METRIC, pairs) == {"gain": False, "within_bound": True}
+
+
+def test_loss_is_a_gain_with_the_sides_swapped():
+    pairs = _runs(*[(8.0, 10.0 + i % 2) for i in range(9)], (12.0, 10.0))
+    summary = bench_pairs.compare(_METRIC, pairs)
+    assert _keys(summary, "change_wins", "gain", "loss") == {
+        "change_wins": 1, "gain": False, "loss": True}
+    swapped = [{"parent": p["change"], "change": p["parent"]} for p in pairs]
+    assert _keys(bench_pairs.compare(_METRIC, swapped), "change_wins", "gain", "loss") == {
+        "change_wins": 9, "gain": True, "loss": False}
+
+
+def test_loss_counts_a_failed_change_run_as_a_parent_win():
+    # The parent wins eight pairs outright and one that the change did not finish.
+    pairs = _runs(*[(8.0, 10.0 + i % 2) for i in range(8)], (8.0, None), (12.0, 10.0))
+    assert _keys(bench_pairs.compare(_METRIC, pairs), "change_wins", "loss") == {
+        "change_wins": 1, "loss": True}
+    pairs[8]["change"] = {"correct": True, "metrics": {"m": 7.0}}
+    assert bench_pairs.compare(_METRIC, pairs)["loss"] is False
 
 
 @pytest.mark.parametrize("better, new, within", [
@@ -146,12 +187,12 @@ def test_verdict_claims_no_gain_inside_the_parent_quartiles():
 def test_verdict_within_bound_is_a_share_of_the_parent_median(better, new, within):
     metric = dict(_METRIC, better=better)
     pairs = _runs(*[(10.0, new)] * 10)
-    assert bench_pairs.verdict(metric, pairs)["within_bound"] is within
+    assert bench_pairs.compare(metric, pairs)["within_bound"] is within
 
 
 def test_verdict_without_change_values_is_neither_gain_nor_within_bound():
     pairs = _runs(*[(10.0, None)] * 10)
-    assert bench_pairs.verdict(_METRIC, pairs) == {"gain": False, "within_bound": False}
+    assert _verdicts(_METRIC, pairs) == {"gain": False, "within_bound": False}
 
 
 def test_run_keeps_the_stderr_tail_of_a_failed_run(tmp_path):
@@ -175,3 +216,41 @@ def test_run_drops_the_stderr_of_a_correct_run(tmp_path):
                       "print(json.dumps({'correct': True, 'attempted': 1, 'failed': 0,",
                       "                  'metrics': {}}))")
     assert "stderr_tail" not in bench_pairs.run(command, tmp_path, "cli", 11, 0.5)
+
+
+def test_run_pairs_alternates_the_first_side_and_runs_each_side_in_its_checkout(tmp_path):
+    log = tmp_path / "order.log"
+    checkouts = {side: tmp_path / side for side in bench_pairs.SIDES}
+    for checkout in checkouts.values():
+        checkout.mkdir()
+    command = _python("import json, os",
+                      f"open({str(log)!r}, 'a').write(os.getcwd() + '\\n')",
+                      "print(json.dumps({'correct': True, 'attempted': 1, 'failed': 0,",
+                      "                  'metrics': {'checkout': {'value': os.getcwd()}}}))")
+    workloads = ["survey", "cli"]
+    pairs = bench_pairs.run_pairs(command, checkouts, workloads, range(11, 14), 0.5, trace=0)
+    ran = iter(log.read_text().splitlines())
+    for i, seed in enumerate(range(11, 14)):
+        for workload in workloads:
+            pair = pairs[workload][i]
+            assert (pair["seed"], pair["first"]) == (seed, ("parent", "change", "parent")[i])
+            for side in (pair["first"], *(set(bench_pairs.SIDES) - {pair["first"]})):
+                assert pair[side]["metrics"]["checkout"] == next(ran) == str(checkouts[side])
+    assert next(ran, None) is None
+
+
+@pytest.mark.parametrize("pr", [12, 13, 14, 15])
+def test_compare_reproduces_the_committed_summaries(pr):
+    """Every run in these records is correct, so the one rule gives back each
+    stored end-to-end summary, and each layer's median over the traced runs."""
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    record = json.loads((ROOT / f"BENCH_{pr}.json").read_text(encoding="utf-8"))
+    for workload in record["workloads"].values():
+        for metric in bench["end_to_end"]:
+            stored = workload["metrics"][metric["name"]]
+            assert _keys(bench_pairs.compare(metric, workload["runs"]), *stored) == stored
+        for metric in bench["per_layer"]:
+            stored = workload["layers"][metric["name"]]
+            summary = bench_pairs.compare(metric, workload["traced_runs"])
+            assert {side: summary[side]["median"] for side in bench_pairs.SIDES} == {
+                side: stored[side] for side in bench_pairs.SIDES}

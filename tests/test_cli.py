@@ -72,6 +72,11 @@ class TestValidateCommand:
         code, _, _ = run(capsys, ["validate", str(GAP_FILE)])
         assert code == 0
 
+    def test_empty_env_var_counts_as_unset(self, capsys, monkeypatch):
+        monkeypatch.setenv("NIHDL_CATALOG", "")
+        assert run(capsys, ["validate", str(GAP_FILE)]) == (2, "", (
+            "usage error: --catalog (or NIHDL_CATALOG) is required to resolve pattern paths\n"))
+
     def test_unassigned_only_file_needs_no_catalog(self, capsys, monkeypatch,
                                                    tmp_path):
         monkeypatch.delenv("NIHDL_CATALOG", raising=False)
@@ -176,6 +181,10 @@ class TestTreeCommand:
         code, out, _ = run(capsys, ["tree"])
         assert code == 0
         assert out == (GOLDEN / "seed_tree.txt").read_text()
+
+    def test_seed_when_the_env_var_is_empty(self, capsys, monkeypatch):
+        monkeypatch.setenv("NIHDL_CATALOG", "")
+        assert run(capsys, ["tree"]) == (0, (GOLDEN / "seed_tree.txt").read_text(), "")
 
     def test_catalog_file(self, capsys):
         code, out, _ = run(capsys, ["tree", *CAT])
@@ -400,6 +409,11 @@ class TestAssessCommand:
         monkeypatch.delenv("NIHDL_CATALOG", raising=False)
         code, _, err = run(capsys, ["assess", str(GAP_FILE)])
         assert code == 2
+
+    def test_empty_env_var_counts_as_unset(self, capsys, monkeypatch):
+        monkeypatch.setenv("NIHDL_CATALOG", "")
+        assert run(capsys, ["assess", str(GAP_FILE)]) == (
+            2, "", "usage error: --catalog (or NIHDL_CATALOG) is required for assessment\n")
 
 
 class TestCatalogAddCommand:

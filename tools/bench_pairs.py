@@ -4,23 +4,23 @@
     python3 tools/bench_pairs.py PARENT CHANGE PR
 
 Exports both commits with ``git archive`` into a temporary directory and
-runs the command of ``BENCHMARK.json`` (``perfbench/run.py``) untraced in
-each: for every workload the file names, ten pairs on seeds 11 to 20,
-each run ``run_seconds`` long. Then it runs three traced pairs per
-workload (``--trace 1``, seeds 11 to 13), since only a traced run reports
-per-layer metrics. The side that runs first alternates from pair to pair.
-Writes ``BENCH_<PR>.json`` in the repository root: per workload and
-end-to-end metric, both sides' medians and quartiles, the number of
-pairs the change won (a tie counts for neither side) and two verdicts,
-``gain`` and ``within_bound`` (see ``verdict``); under
-``operations``, per side, the ``attempted`` and ``failed`` operations
-summed over the untraced runs and the number of ``incorrect_runs``, so a
-growing share of failed operations shows without reading every run;
-under ``layers``, per per-layer metric, both sides' medians over the
-traced pairs; each run's ``correct``, ``attempted``, ``failed`` and
-metrics, with the last 2,000 characters of its standard error when it
-failed, the Python version and both commit ids. Progress goes to
-standard error.
+runs the command of ``BENCHMARK.json`` (``perfbench/run.py``) in each: for
+every workload the file names, ten pairs on seeds 11 to 20, each run
+``run_seconds`` long, untraced, then ten more pairs on the same seeds traced
+(``--trace 1``), since only a traced run reports per-layer metrics. The
+side that runs first alternates from pair to pair. Writes
+``BENCH_<PR>.json`` in the repository root. Per workload, one summary (see
+``compare``) for every end-to-end metric over the untraced pairs, under
+``metrics``, and for every per-layer metric over the traced pairs, under
+``layers``: the pairs run, the pairs the change won, both sides' medians
+and quartiles and the verdicts ``gain``, ``loss`` and, for a metric with a
+bound, ``within_bound``. Under ``operations``, per side, the ``attempted``
+and ``failed`` operations summed over the untraced runs and the number of
+``incorrect_runs``, so a growing share of failed operations shows without
+reading every run. Then each run's ``correct``, ``attempted``, ``failed``
+and metrics, with the last 2,000 characters of its standard error when it
+failed, the Python version and both commit ids. Progress goes to standard
+error.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = range(11, 21)
-TRACED_SEEDS = range(11, 14)
 SIDES = ("parent", "change")
 STDERR_TAIL = 2000
 
@@ -73,43 +72,44 @@ def run(command: list[str], checkout: Path, workload: str, seed: int,
     return record
 
 
-def spread(values: list[float]) -> dict:
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": median, "q1": q1, "q3": q3}
-
-
-def summarize(metric: dict, pairs: list[dict]) -> dict:
-    name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
-    both = [(p["parent"]["metrics"][name], p["change"]["metrics"][name])
-            for p in pairs if name in p["parent"]["metrics"] and name in p["change"]["metrics"]]
-    summary = {"unit": metric["unit"], "better": metric["better"], "pairs": len(both),
-               "change_wins": sum(sign * (new - old) > 0 for old, new in both)}
-    if len(both) > 1:
-        summary["parent"] = spread([old for old, _ in both])
-        summary["change"] = spread([new for _, new in both])
-    return summary
-
-
-def verdict(metric: dict, pairs: list[dict]) -> dict:
-    """``gain``: the change wins at least nine tenths of all pairs run, and its
-    median is better than the parent's by more than the parent's q3 - q1.
-    ``within_bound``: the change's median is worse than the parent's by no
-    more than ``bound``, a share of the parent's median. Only a correct run
-    has a value, and a pair in which either side has none counts against the
-    change; medians and quartiles are taken over each side's values, and
-    both verdicts are false without two parent values and one change value."""
+def compare(metric: dict, pairs: list[dict]) -> dict:
+    """One metric over pairs of runs. Only a correct run has a value, and a
+    pair in which either side has none counts against the change: the parent
+    wins it. ``change_wins``: the pairs the change won, a tie counting for
+    neither side. ``parent`` and ``change``: each side's median and quartiles
+    over its values, given at least two. ``gain``: the change wins at least
+    nine tenths of the pairs run, and its median is better than the parent's
+    by more than the parent's q3 - q1; ``loss``: the same with the sides
+    swapped. For a metric with a ``bound``, ``within_bound``: the change's
+    median is worse than the parent's by no more than ``bound``, a share of
+    the parent's median. Without both sides' quartiles every verdict is
+    false."""
     name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
     values = {side: [p[side]["metrics"].get(name) if p[side]["correct"] else None
                      for p in pairs] for side in SIDES}
-    wins = sum(old is not None and new is not None and sign * (new - old) > 0
-               for old, new in zip(values["parent"], values["change"]))
-    present = {side: [v for v in values[side] if v is not None] for side in SIDES}
-    if len(present["parent"]) < 2 or not present["change"]:
-        return {"gain": False, "within_bound": False}
-    parent = spread(present["parent"])
-    better_by = sign * (statistics.median(present["change"]) - parent["median"])
-    return {"gain": wins >= 0.9 * len(pairs) and better_by > parent["q3"] - parent["q1"],
-            "within_bound": -better_by <= metric["bound"] * parent["median"]}
+    diffs = [sign * (new - old) for old, new in zip(values["parent"], values["change"])
+             if old is not None and new is not None]
+    change_wins = sum(d > 0 for d in diffs)
+    parent_wins = len(pairs) - len(diffs) + sum(d < 0 for d in diffs)
+    summary = {"unit": metric["unit"], "better": metric["better"], "pairs": len(pairs),
+               "change_wins": change_wins}
+    for side in SIDES:
+        present = [v for v in values[side] if v is not None]
+        if len(present) > 1:
+            q1, median, q3 = statistics.quantiles(present, n=4, method="inclusive")
+            summary[side] = {"median": median, "q1": q1, "q3": q3}
+    gain = loss = within_bound = False
+    if "parent" in summary and "change" in summary:
+        parent = summary["parent"]
+        spread = parent["q3"] - parent["q1"]
+        better_by = sign * (summary["change"]["median"] - parent["median"])
+        gain = change_wins >= 0.9 * len(pairs) and better_by > spread
+        loss = parent_wins >= 0.9 * len(pairs) and -better_by > spread
+        within_bound = "bound" in metric and -better_by <= metric["bound"] * parent["median"]
+    summary.update(gain=gain, loss=loss)
+    if "bound" in metric:
+        summary["within_bound"] = within_bound
+    return summary
 
 
 def operations(pairs: list[dict]) -> dict:
@@ -119,19 +119,6 @@ def operations(pairs: list[dict]) -> dict:
                    "failed": sum(p[side]["failed"] for p in pairs),
                    "incorrect_runs": sum(not p[side]["correct"] for p in pairs)}
             for side in SIDES}
-
-
-def layers(metrics: list[dict], pairs: list[dict]) -> dict:
-    """Both sides' medians of each per-layer metric that both sides report."""
-    summary = {}
-    for metric in metrics:
-        name = metric["name"]
-        values = {side: [p[side]["metrics"][name] for p in pairs
-                         if name in p[side]["metrics"]] for side in SIDES}
-        if values["parent"] and values["change"]:
-            summary[name] = {"unit": metric["unit"], "better": metric["better"],
-                             **{side: statistics.median(v) for side, v in values.items()}}
-    return summary
 
 
 def run_pairs(command: list[str], checkouts: dict, workloads: list[str], seeds: range,
@@ -164,22 +151,19 @@ def main(argv=None) -> int:
         checkouts = {side: Path(tmp) / side for side in commits}
         for side, commit in commits.items():
             export(commit, checkouts[side])
-        pairs = run_pairs(bench["command"], checkouts, workloads, SEEDS,
-                          bench["run_seconds"], trace=0)
-        traced = run_pairs(bench["command"], checkouts, workloads, TRACED_SEEDS,
-                           bench["run_seconds"], trace=1)
+        pairs, traced = (run_pairs(bench["command"], checkouts, workloads, SEEDS,
+                                   bench["run_seconds"], trace) for trace in (0, 1))
     report = {
         "parent": commits["parent"],
         "change": commits["change"],
         "python": platform.python_version(),
         "run_seconds": bench["run_seconds"],
         "seeds": list(SEEDS),
-        "traced_seeds": list(TRACED_SEEDS),
-        "workloads": {w: {"metrics": {m["name"]: {**summarize(m, pairs[w]),
-                                                  **verdict(m, pairs[w])}
+        "workloads": {w: {"metrics": {m["name"]: compare(m, pairs[w])
                                       for m in bench["end_to_end"]},
                           "operations": operations(pairs[w]),
-                          "layers": layers(bench["per_layer"], traced[w]),
+                          "layers": {m["name"]: compare(m, traced[w])
+                                     for m in bench["per_layer"]},
                           "runs": pairs[w],
                           "traced_runs": traced[w]}
                       for w in workloads},
