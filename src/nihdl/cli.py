@@ -120,15 +120,18 @@ def cmd_validate(args) -> int:
 # render
 # ---------------------------------------------------------------------------
 
+_BINDING_PREFIXES = {
+    model.BindingKind.SINGLE_PROTOCOL: "single protocol ",
+    model.BindingKind.PROTOCOL_SET: "protocols ",
+    model.BindingKind.FEATURE_BASED: "protocol features: ",
+}
+
+
 def _binding_text(binding: model.CarrierBinding) -> str:
-    kind = binding.kind
-    if kind is model.BindingKind.SINGLE_PROTOCOL:
-        return f"single protocol {binding.names[0]}"
-    if kind is model.BindingKind.PROTOCOL_SET:
-        return "protocols " + ", ".join(binding.names)
-    if kind is model.BindingKind.FEATURE_BASED:
-        return "protocol features: " + ", ".join(binding.names)
-    return kind.value
+    prefix = _BINDING_PREFIXES.get(binding.kind)
+    if prefix is None:
+        return binding.kind.value
+    return prefix + ", ".join(binding.names)
 
 
 def _metric_lines(label: str, metric: model.ChannelCharacteristic | None) -> list[str]:
@@ -147,6 +150,15 @@ def _metric_lines(label: str, metric: model.ChannelCharacteristic | None) -> lis
     return lines
 
 
+def _block_lines(block, lines: list[str], group: model.SharedGroup | None = None) -> list[str]:
+    """``lines``, then the group ``block`` is combined with, then its free text."""
+    if group is not None:
+        lines.append(f"Combined with: {group.label}")
+    if block.text is not None:
+        lines.append(block.text)
+    return lines
+
+
 def build_report(m: model.MethodDescription) -> str:
     lines = [f"Method: {m.name}"]
     if m.source is not None:
@@ -154,96 +166,83 @@ def build_report(m: model.MethodDescription) -> str:
     if m.year is not None:
         lines.append(f"Year: {m.year}")
 
-    def section(title: str) -> None:
-        lines.extend(["", title, "-" * len(title)])
+    def section(title: str, body: list[str]) -> None:
+        lines.extend(["", title, "-" * len(title), *body])
 
-    section("Hiding Pattern")
     if m.pattern.path.unassigned:
-        lines.append("Unassigned.")
+        body = ["Unassigned."]
     else:
-        lines.append(render_chain(m.pattern.path))
+        body = [render_chain(m.pattern.path)]
     if m.pattern.justifications:
-        lines.append("")
+        body.append("")
         for j in m.pattern.justifications:
-            lines.append(f"  {j.element}: {j.rationale}")
+            body.append(f"  {j.element}: {j.rationale}")
+    section("Hiding Pattern", body)
 
-    section("Application Scenario")
     scenario = m.scenario
     if scenario is None:
-        lines.append("(not described)")
+        body = ["(not described)"]
     else:
-        lines.append(f"Status: {scenario.presence.name.lower()}")
+        body = [f"Status: {scenario.presence.name.lower()}"]
         if scenario.purpose is not None:
-            lines.append(f"Purpose: {scenario.purpose.value}")
-        if scenario.shared is not None:
-            lines.append(f"Combined with: {scenario.shared.label}")
-        if scenario.text is not None:
-            lines.append(scenario.text)
+            body.append(f"Purpose: {scenario.purpose.value}")
+        body = _block_lines(scenario, body, scenario.shared)
+    section("Application Scenario", body)
 
-    section("Properties of the Carrier")
-    lines.append(f"Status: {m.carrier.presence.name.lower()}")
-    lines.append(f"Binding: {_binding_text(m.carrier.binding)}")
+    body = [f"Status: {m.carrier.presence.name.lower()}",
+            f"Binding: {_binding_text(m.carrier.binding)}"]
     for condition in m.carrier.conditions:
-        lines.append(f"  - {condition}")
-    if m.carrier.shared is not None:
-        lines.append(f"Combined with: {m.carrier.shared.label}")
-    if m.carrier.text is not None:
-        lines.append(m.carrier.text)
+        body.append(f"  - {condition}")
+    section("Properties of the Carrier", _block_lines(m.carrier, body, m.carrier.shared))
 
-    section("Sender-side Process")
-    lines.append(f"Relation: {m.sender.relation.value}")
-    lines.append(f"Sender location: {m.sender.location.value}")
-    lines.append(f"Covert data location: {m.sender.data_location.value}")
-    lines.append(f"Generates own cover traffic: {m.sender.generates_cover.value}")
-    if m.sender.text is not None:
-        lines.append(m.sender.text)
+    body = [f"Relation: {m.sender.relation.value}",
+            f"Sender location: {m.sender.location.value}",
+            f"Covert data location: {m.sender.data_location.value}",
+            f"Generates own cover traffic: {m.sender.generates_cover.value}"]
+    section("Sender-side Process", _block_lines(m.sender, body))
 
-    section("Receiver-side Process")
-    lines.append(f"Receiver location: {m.receiver.location.value}")
-    if m.receiver.text is not None:
-        lines.append(m.receiver.text)
+    body = [f"Receiver location: {m.receiver.location.value}"]
+    section("Receiver-side Process", _block_lines(m.receiver, body))
 
-    section("Covert Channel Properties")
     names = [s.value for s in model.ChannelScenario if s in m.channel.scenarios]
-    lines.append(f"Scenario: {', '.join(names)}")
+    body = [f"Scenario: {', '.join(names)}"]
     directness = m.channel.directness
     if directness.kind is model.DirectnessKind.INDIRECT:
-        lines.append(f"Directness: indirect ({directness.requirements})")
+        body.append(f"Directness: indirect ({directness.requirements})")
     else:
-        lines.append(f"Directness: {directness.kind.value}")
-    lines.extend(_metric_lines("Bandwidth", m.channel.bandwidth))
-    lines.extend(_metric_lines("Undetectability", m.channel.undetectability))
-    lines.extend(_metric_lines("Robustness", m.channel.robustness))
-    lines.extend(_metric_lines("Cost", m.channel.cost))
+        body.append(f"Directness: {directness.kind.value}")
+    for name, metric in m.channel.metrics().items():
+        body.extend(_metric_lines(name.capitalize(), metric))
+    section("Covert Channel Properties", body)
 
-    section("Control Protocol")
     control = m.control_protocol
     if control is None:
-        lines.append("(not described)")
+        body = ["(not described)"]
     else:
-        lines.append(f"Status: {control.presence.name.lower()}")
+        body = [f"Status: {control.presence.name.lower()}"]
         features = [f.value for f in model.ControlFeature if f in control.features]
         if features:
-            lines.append(f"Features: {', '.join(features)}")
-        if control.text is not None:
-            lines.append(control.text)
+            body.append(f"Features: {', '.join(features)}")
+        body = _block_lines(control, body)
+    section("Control Protocol", body)
 
-    section("Countermeasures")
+    body = []
     if not m.countermeasures:
-        lines.append("(no entries)")
+        body.append("(no entries)")
     for entry in m.countermeasures:
         head = f"- {entry.kind.value}: {entry.applicability.value}"
         head += ", evaluated" if entry.evaluated else ", not evaluated"
-        lines.append(head)
+        body.append(head)
         if entry.text is not None:
-            lines.append(f"    {entry.text}")
+            body.append(f"    {entry.text}")
         if entry.limitations is not None:
-            lines.append(f"    evaluation limitations: {entry.limitations}")
+            body.append(f"    evaluation limitations: {entry.limitations}")
     if m.warden is not None:
-        lines.append(
+        body.append(
             f"Warden: {m.warden.placement.value} placement, "
             f"{m.warden.state.value}, {m.warden.activity.value}"
         )
+    section("Countermeasures", body)
     return "\n".join(lines)
 
 

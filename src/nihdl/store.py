@@ -1,11 +1,14 @@
 """Corpus persistence: a corpus is a plain directory.
 
 Layout: ``<root>/catalog.nihc``, ``<root>/descriptions/*.nihd`` and the
-generated ``<root>/index.tsv`` (UTF-8, LF, tab-separated). Description
+generated ``<root>/index.tsv`` (UTF-8, LF, tab-separated; a tab inside a
+field is written as one space, so every row has six fields). Description
 files are discovered in lexicographic order, parse failures never abort
 the load of other files, and the index is written atomically (temp file
 plus rename), so repeated runs on an unchanged corpus are byte-identical.
-A rewritten file keeps its mode; a new one gets 0666 less the umask.
+A rewritten file keeps its mode; a new one gets 0666 less the umask. A
+corpus directory or catalog file whose presence cannot be checked (a
+name too long, say) is a ``StoreError``.
 """
 
 from __future__ import annotations
@@ -48,14 +51,18 @@ class Corpus:
 def open_corpus(directory: str | Path) -> Corpus:
     """Discover a corpus directory's files, sorted for determinism."""
     root = Path(directory)
-    if not root.is_dir():
-        raise MissingDirectoryError(f"not a corpus directory: {root}")
     descriptions_dir = root / DESCRIPTIONS_DIR_NAME
     files: tuple[Path, ...] = ()
-    if descriptions_dir.is_dir():
-        # Every entry, readable or not: one that is not a readable file gets E007.
-        files = tuple(sorted((p for p in descriptions_dir.iterdir()
-                              if p.suffix == dsl.DESCRIPTION_SUFFIX), key=lambda p: p.name))
+    try:
+        if not root.is_dir():
+            raise MissingDirectoryError(f"not a corpus directory: {root}")
+        if descriptions_dir.is_dir():
+            # Every entry, readable or not: one that is not a readable file gets E007.
+            files = tuple(sorted((p for p in descriptions_dir.iterdir()
+                                  if p.suffix == dsl.DESCRIPTION_SUFFIX),
+                                 key=lambda p: p.name))
+    except OSError as exc:
+        raise StoreError(f"cannot read corpus directory {root}: {exc.strerror}") from exc
     return Corpus(
         root=root,
         catalog_file=root / CATALOG_FILE_NAME,
@@ -65,7 +72,12 @@ def open_corpus(directory: str | Path) -> Corpus:
 
 def load_catalog(corpus: Corpus) -> tuple[PatternCatalog | None, list[Diagnostic]]:
     """Parse the corpus catalog; absence of the file is MissingCatalogError."""
-    if not corpus.catalog_file.is_file():
+    try:
+        found = corpus.catalog_file.is_file()
+    except OSError as exc:
+        raise StoreError(
+            f"cannot read catalog file {corpus.catalog_file}: {exc.strerror}") from exc
+    if not found:
         raise MissingCatalogError(f"no catalog file at {corpus.catalog_file}")
     return read_catalog_file(corpus.catalog_file)
 
@@ -125,7 +137,8 @@ def build_index(
 ) -> tuple[list[tuple[str, ...]], list[Diagnostic]]:
     """Write ``index.tsv``: one row per method with its completeness score.
 
-    Returns the data rows and any parse/resolution diagnostics. Methods
+    Returns the data rows, as written, and any parse/resolution
+    diagnostics. A tab inside a field is written as one space. Methods
     from files that fail to parse are absent from the index. The corpus is
     always read and parsed again through ``load_all``, even when the
     caller has just parsed every file, so a lint-then-index pass parses
@@ -137,24 +150,19 @@ def build_index(
     rows: list[tuple[str, ...]] = []
     methods = []
     for document in documents:
-        relative = Path(document.source_file)
-        try:
-            relative = relative.relative_to(corpus.root)
-        except ValueError:
-            pass
+        relative = Path(document.source_file).relative_to(corpus.root)
         for method in document.methods:
             methods.append(method)
             score = completeness(method).aggregate
-            rows.append(
-                (
-                    relative.as_posix(),
-                    method.name,
-                    method.source if method.source is not None else "-",
-                    str(method.year) if method.year is not None else "-",
-                    method.pattern.path.text,
-                    f"{float(score):.3f}",
-                )
+            fields = (
+                relative.as_posix(),
+                method.name,
+                method.source if method.source is not None else "-",
+                str(method.year) if method.year is not None else "-",
+                method.pattern.path.text,
+                f"{float(score):.3f}",
             )
+            rows.append(tuple(field.replace("\t", " ") for field in fields))
     _, _, resolution_diags = pattern_histogram(methods, catalog)
     diagnostics.extend(resolution_diags)
     lines = ["\t".join(INDEX_HEADER)]

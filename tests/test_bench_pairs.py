@@ -8,6 +8,8 @@ prints what `perfbench/run.py` would.
 
 import importlib.util
 import json
+import os
+import platform
 import sys
 from pathlib import Path
 
@@ -237,6 +239,21 @@ def test_run_pairs_alternates_the_first_side_and_runs_each_side_in_its_checkout(
             for side in (pair["first"], *(set(bench_pairs.SIDES) - {pair["first"]})):
                 assert pair[side]["metrics"]["checkout"] == next(ran) == str(checkouts[side])
     assert next(ran, None) is None
+
+
+def test_main_records_the_machine_next_to_python(tmp_path, monkeypatch):
+    """Pairs compare only on one machine, so the report says which it was."""
+    (tmp_path / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: b"0" * 40 + b"\n")
+    monkeypatch.setattr(bench_pairs, "export", lambda commit, into: None)
+    monkeypatch.setattr(bench_pairs, "run_pairs",
+                        lambda command, checkouts, workloads, *rest: {w: [] for w in workloads})
+    assert bench_pairs.main(["a", "b", "99"]) == 0
+    report = json.loads((tmp_path / "BENCH_99.json").read_text())
+    assert _keys(report, "python", "cpu_count", "machine") == {
+        "python": platform.python_version(), "cpu_count": os.cpu_count(),
+        "machine": platform.machine()}
 
 
 @pytest.mark.parametrize("pr", [12, 13, 14, 15])

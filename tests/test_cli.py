@@ -560,10 +560,10 @@ def test_catalog_add_with_closed_stdout_leaves_the_catalog_unchanged(tmp_path):
 # argv names placeholders that the ``hostile`` fixture fills in: a
 # directory where a file is expected, a file that is not UTF-8, a
 # description that does not parse, a year with more digits than int()
-# reads, corpora without content, empty --attributes items, and catalog-add
-# values, a blank justification or a catalog that cannot be stored; a few
-# omit a required --catalog. Each case's stderr is
-# pinned in tests/golden/hostile_stderr.txt.
+# reads, corpora without content, a corpus name too long for the file
+# system, empty --attributes items, and catalog-add values, a blank
+# justification or a catalog that cannot be stored; a few omit a required
+# --catalog. Each case's stderr is pinned in tests/golden/hostile_stderr.txt.
 HOSTILE_CASES = [
     ("validate-directory", ["validate", "{directory}", "--catalog", "{catalog}"], 2),
     ("validate-not-utf8", ["validate", "{latin1}", "--catalog", "{catalog}"], 2),
@@ -588,6 +588,7 @@ HOSTILE_CASES = [
     ("stats-hostile-corpus", ["stats", "{hostile_corpus}", "--format", "csv"], 2),
     ("stats-catalog-not-utf8", ["stats", "{latin1_catalog_corpus}"], 2),
     ("stats-symlink-corpus", ["stats", "{symlink_corpus}"], 2),
+    ("stats-long-corpus-name", ["stats", "a" * 300], 2),
     ("compare-directory", ["compare", "{directory}"], 2),
     ("compare-not-utf8", ["compare", "{gap}", "{latin1}"], 2),
     ("compare-malformed", ["compare", "{gap}", "{malformed}"], 1),

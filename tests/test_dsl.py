@@ -425,6 +425,15 @@ class TestSerialize:
         with pytest.raises(ValueError):
             dsl.serialize(dsl.Document(methods=(bad,)))
 
+    def test_missing_metric_block_is_refused(self, gap_doc):
+        import dataclasses
+        method = gap_doc.methods[0]
+        bad = dataclasses.replace(
+            method, channel=dataclasses.replace(method.channel, bandwidth=None))
+        with pytest.raises(ValueError,
+                           match="^cannot serialize: block 'bandwidth' is missing$"):
+            dsl.serialize(dsl.Document(methods=(bad,)))
+
     def test_catalog_round_trip(self):
         text = dsl.serialize_catalog(seed_catalog())
         catalog, diags = dsl.parse_catalog(text, "t")

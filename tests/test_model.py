@@ -262,6 +262,10 @@ class TestConstructorInvariants:
         with pytest.raises(ValueError, match="^single-protocol takes exactly one protocol$"):
             model.CarrierBinding(model.BindingKind.SINGLE_PROTOCOL, ("TCP", "UDP"))
 
+    def test_generic_takes_no_names(self):
+        with pytest.raises(ValueError, match="^generic binding carries no names$"):
+            model.CarrierBinding(model.BindingKind.GENERIC, ("x",))
+
     def test_feature_based_needs_one(self):
         with pytest.raises(ValueError):
             model.CarrierBinding.feature_based()

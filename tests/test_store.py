@@ -10,6 +10,7 @@ from nihdl import store
 from nihdl.store import (
     MissingCatalogError,
     MissingDirectoryError,
+    StoreError,
     build_index,
     load_all,
     open_corpus,
@@ -32,6 +33,10 @@ class TestOpenCorpus:
     def test_missing_directory(self, tmp_path):
         with pytest.raises(MissingDirectoryError):
             open_corpus(tmp_path / "nope")
+
+    def test_name_too_long_is_a_store_error(self, tmp_path):
+        with pytest.raises(StoreError, match="File name too long$"):
+            open_corpus(tmp_path / ("a" * 300))
 
     def test_non_nihd_files_ignored(self, tmp_path):
         (tmp_path / "descriptions").mkdir()
@@ -71,6 +76,11 @@ class TestLoadAll:
     def test_missing_catalog_error(self, tmp_path):
         corpus = open_corpus(tmp_path)
         with pytest.raises(MissingCatalogError):
+            store.load_catalog(corpus)
+
+    def test_catalog_name_too_long_is_a_store_error(self, tmp_path):
+        corpus = store.Corpus(tmp_path, tmp_path / ("c" * 300), ())
+        with pytest.raises(StoreError, match="^cannot read catalog file .*: File name too long$"):
             store.load_catalog(corpus)
 
 
@@ -128,6 +138,21 @@ class TestBuildIndex:
             os.umask(old)
         assert stat.S_IMODE((tmp_path / "index.tsv").stat().st_mode) == 0o640
 
+    def test_a_tab_inside_a_field_is_written_as_a_space(self, tmp_path, catalog):
+        # Quotes and backslashes are written as they are.
+        corpus = self._working_copy(tmp_path)
+        gap = corpus.root / "descriptions" / "gap_channel.nihd"
+        gap.write_text(gap.read_text()
+                       .replace('"Model-based inter-packet gap channel"',
+                                '"tab\there \\\\ \\"q\\""')
+                       .replace('"gianvecchio2008"', '"gian\t\tvecchio"'))
+        rows, diags = build_index(corpus, catalog)
+        assert diags == []
+        lines = (corpus.root / "index.tsv").read_text().splitlines()
+        assert [tuple(line.split("\t")) for line in lines[1:]] == rows
+        assert {len(line.split("\t")) for line in lines} == {6}
+        assert rows[1][1:3] == ('tab here \\ "q"', "gian  vecchio")
+
     def test_unresolvable_paths_reported(self, tmp_path, catalog):
         corpus = self._working_copy(tmp_path)
         stray = corpus.root / "descriptions" / "a_stray.nihd"
@@ -157,3 +182,11 @@ def test_atomic_write_keeps_the_mode(tmp_path):
     assert target.read_text() == "new\n"
     assert stat.S_IMODE(target.stat().st_mode) == 0o604
     assert [p.name for p in tmp_path.iterdir()] == ["kept.txt"]
+
+
+def test_atomic_write_removes_its_temp_file_when_the_rename_fails(tmp_path):
+    target = tmp_path / "taken"
+    target.mkdir()
+    with pytest.raises(OSError):
+        store.atomic_write_text(target, "new\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]

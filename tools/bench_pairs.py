@@ -19,7 +19,8 @@ and ``failed`` operations summed over the untraced runs and the number of
 ``incorrect_runs``, so a growing share of failed operations shows without
 reading every run. Then each run's ``correct``, ``attempted``, ``failed``
 and metrics, with the last 2,000 characters of its standard error when it
-failed, the Python version and both commit ids. Progress goes to standard
+failed, the Python version, the machine's CPU count (``cpu_count``) and
+architecture (``machine``), and both commit ids. Progress goes to standard
 error.
 """
 
@@ -28,6 +29,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import platform
 import statistics
 import subprocess
@@ -157,6 +159,8 @@ def main(argv=None) -> int:
         "parent": commits["parent"],
         "change": commits["change"],
         "python": platform.python_version(),
+        "cpu_count": os.cpu_count(),
+        "machine": platform.machine(),
         "run_seconds": bench["run_seconds"],
         "seeds": list(SEEDS),
         "workloads": {w: {"metrics": {m["name"]: compare(m, pairs[w])
