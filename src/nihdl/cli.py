@@ -3,10 +3,11 @@ catalog-add.
 
 Reports go to stdout, diagnostics to stderr. Exit status 0 means no
 error-severity diagnostics, 1 means error diagnostics were produced, and
-2 means a usage or I/O failure: any command that meets an input file it
-cannot read (E007) exits 2, whatever else it printed, and so does one
-whose reader closes stdout before the report is written. NIHDL_CATALOG
-supplies a default catalog path where a command takes --catalog.
+2 means a usage or I/O failure: any command that meets a description or
+catalog file it cannot read prints its E007 line, with the reason, and
+exits 2, whatever else it printed, and so does one whose reader closes
+stdout before the report is written. NIHDL_CATALOG supplies a default
+catalog path where a command takes --catalog.
 
 Imports: what every command's argument parsing and the shared helpers
 need is imported at module level; a module only some commands use
@@ -60,12 +61,13 @@ def _print_diagnostics(diags: Iterable[Diagnostic], status: int = EXIT_OK) -> in
     return status
 
 
-def _read_document(path: str) -> dsl.Document:
-    """Parse one description file, or print why not and exit."""
-    document, diags = store.read_description_file(path)
-    if document is None:
-        raise _Exit(_print_diagnostics(diags))
-    return document
+def _parsed(value, diags: list[Diagnostic], status: int = EXIT_OK):
+    """``value``, the result of reading a file; when it is None, the end of
+    the command after the diagnostics of why not. ``status`` is what the
+    command has printed so far."""
+    if value is None:
+        raise _Exit(_print_diagnostics(diags, status))
+    return value
 
 
 def _catalog_path(args) -> str | None:
@@ -81,17 +83,7 @@ def _catalog(args, required: str | None = None, status: int = EXIT_OK) -> Patter
         if required is None:
             return seed_catalog()
         raise _UsageError(f"--catalog (or NIHDL_CATALOG) is required{required}")
-    return _checked_catalog(path, *store.read_catalog_file(path), status)
-
-
-def _checked_catalog(path, catalog, diags, status: int = EXIT_OK) -> PatternCatalog:
-    """``catalog``; else a usage error when the file cannot be read (E007),
-    or the end of the command after the diagnostics of why it did not parse."""
-    if catalog is None:
-        if any(d.code == "E007" for d in diags):
-            raise _UsageError(f"cannot read catalog file {path}")
-        raise _Exit(_print_diagnostics(diags, status))
-    return catalog
+    return _parsed(*store.read_catalog_file(path), status)
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +239,7 @@ def build_report(m: model.MethodDescription) -> str:
 
 
 def cmd_render(args) -> int:
-    document = _read_document(args.file)
-    methods = list(document.methods)
+    methods = list(_parsed(*store.read_description_file(args.file)).methods)
     if args.method is not None:
         methods = [m for m in methods if m.name == args.method]
         if not methods:
@@ -329,9 +320,9 @@ def cmd_stats(args) -> int:
 
     try:
         corpus = store.open_corpus(args.corpus)
-        catalog = _checked_catalog(corpus.catalog_file, *store.load_catalog(corpus))
     except store.StoreError as exc:
         raise _UsageError(str(exc)) from None
+    catalog = _parsed(*store.load_catalog(corpus))
     documents, diags = store.load_all(corpus)
     status = _print_diagnostics(diags)
     methods = [m for doc in documents for m in doc.methods]
@@ -423,7 +414,7 @@ def cmd_compare(args) -> int:
 
     methods: list[model.MethodDescription] = []
     for file_name in args.files:
-        methods.extend(_read_document(file_name).methods)
+        methods.extend(_parsed(*store.read_description_file(file_name)).methods)
     attributes = [a.strip() for a in args.attributes.split(",")]
     try:
         matrix = analyze.comparison_matrix(methods, attributes)
@@ -444,7 +435,7 @@ def cmd_assess(args) -> int:
     from . import novelty
 
     catalog = _catalog(args, " for assessment")
-    document = _read_document(args.file)
+    document = _parsed(*store.read_description_file(args.file))
     for method in document.methods:
         print(novelty.assess(method, catalog).render())
     return EXIT_OK

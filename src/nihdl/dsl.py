@@ -310,7 +310,7 @@ class _Binding(_Kind):
     features in parentheses."""
 
     kinds = {kind.value: kind for kind in model.BindingKind}
-    unspecified = default = model.CarrierBinding.unspecified()
+    unspecified = default = model.CarrierBinding(model.BindingKind.UNSPECIFIED)
 
     def parse(self, p, key, fields, at):
         kind = p.enum_value(self.kinds, key.name)
@@ -335,7 +335,7 @@ class _Directness(_Kind):
     """`direct`, `unspecified`, or `indirect("intermediary requirements")`."""
 
     kinds = {kind.value: kind for kind in model.DirectnessKind}
-    unspecified = model.Directness.unspecified()
+    unspecified = model.Directness(model.DirectnessKind.UNSPECIFIED)
 
     def parse(self, p, key, fields, at):
         kind = p.enum_value(self.kinds, key.name)

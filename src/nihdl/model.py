@@ -103,26 +103,6 @@ class CarrierBinding:
         if self.kind in (BindingKind.GENERIC, BindingKind.UNSPECIFIED) and self.names:
             raise ValueError(f"{self.kind.value} binding carries no names")
 
-    @classmethod
-    def single(cls, name: str) -> CarrierBinding:
-        return cls(BindingKind.SINGLE_PROTOCOL, (name,))
-
-    @classmethod
-    def protocol_set(cls, *names: str) -> CarrierBinding:
-        return cls(BindingKind.PROTOCOL_SET, tuple(names))
-
-    @classmethod
-    def feature_based(cls, *names: str) -> CarrierBinding:
-        return cls(BindingKind.FEATURE_BASED, tuple(names))
-
-    @classmethod
-    def generic(cls) -> CarrierBinding:
-        return cls(BindingKind.GENERIC)
-
-    @classmethod
-    def unspecified(cls) -> CarrierBinding:
-        return cls(BindingKind.UNSPECIFIED)
-
 
 @dataclass(frozen=True)
 class CarrierRequirements:
@@ -189,18 +169,6 @@ class Directness:
     def __post_init__(self) -> None:
         if self.kind is not DirectnessKind.INDIRECT and self.requirements:
             raise ValueError("only indirect channels carry intermediary requirements")
-
-    @classmethod
-    def direct(cls) -> Directness:
-        return cls(DirectnessKind.DIRECT)
-
-    @classmethod
-    def indirect(cls, requirements: str) -> Directness:
-        return cls(DirectnessKind.INDIRECT, requirements)
-
-    @classmethod
-    def unspecified(cls) -> Directness:
-        return cls(DirectnessKind.UNSPECIFIED)
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,15 @@
 """Corpus persistence: a corpus is a plain directory.
 
 Layout: ``<root>/catalog.nihc``, ``<root>/descriptions/*.nihd`` and the
-generated ``<root>/index.tsv`` (UTF-8, LF, tab-separated; a tab inside a
-field is written as one space, so every row has six fields). Description
-files are discovered in lexicographic order, parse failures never abort
-the load of other files, and the index is written atomically (temp file
-plus rename), so repeated runs on an unchanged corpus are byte-identical.
-A rewritten file keeps its mode; a new one gets 0666 less the umask. A
-corpus directory or catalog file whose presence cannot be checked (a
-name too long, say) is a ``StoreError``.
+generated ``<root>/index.tsv`` (UTF-8, LF, tab-separated; a tab, line
+feed or carriage return inside a field is written as one space, so every
+row is one line of six fields). Description files are discovered in
+lexicographic order, parse failures never abort the load of other files,
+and the index is written atomically (temp file plus rename), so repeated
+runs on an unchanged corpus are byte-identical. A rewritten file keeps its
+mode; a new one gets 0666 less the umask. A corpus directory that cannot
+be listed (a name too long, say) is a ``StoreError``; a catalog or
+description file that cannot be read, a missing one included, gives E007.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ DESCRIPTIONS_DIR_NAME = "descriptions"
 INDEX_FILE_NAME = "index.tsv"
 
 INDEX_HEADER = ("file", "method", "source", "year", "pattern", "score")
+_INDEX_FIELD_SPACES = str.maketrans("\t\n\r", "   ")
 
 
 class StoreError(Exception):
@@ -34,10 +36,6 @@ class StoreError(Exception):
 
 
 class MissingDirectoryError(StoreError):
-    pass
-
-
-class MissingCatalogError(StoreError):
     pass
 
 
@@ -71,14 +69,7 @@ def open_corpus(directory: str | Path) -> Corpus:
 
 
 def load_catalog(corpus: Corpus) -> tuple[PatternCatalog | None, list[Diagnostic]]:
-    """Parse the corpus catalog; absence of the file is MissingCatalogError."""
-    try:
-        found = corpus.catalog_file.is_file()
-    except OSError as exc:
-        raise StoreError(
-            f"cannot read catalog file {corpus.catalog_file}: {exc.strerror}") from exc
-    if not found:
-        raise MissingCatalogError(f"no catalog file at {corpus.catalog_file}")
+    """Parse the corpus catalog; a missing or unreadable file gives E007."""
     return read_catalog_file(corpus.catalog_file)
 
 
@@ -138,11 +129,11 @@ def build_index(
     """Write ``index.tsv``: one row per method with its completeness score.
 
     Returns the data rows, as written, and any parse/resolution
-    diagnostics. A tab inside a field is written as one space. Methods
-    from files that fail to parse are absent from the index. The corpus is
-    always read and parsed again through ``load_all``, even when the
-    caller has just parsed every file, so a lint-then-index pass parses
-    the corpus twice.
+    diagnostics. A tab, line feed or carriage return inside a field is
+    written as one space. Methods from files that fail to parse are absent
+    from the index. The corpus is always read and parsed again through
+    ``load_all``, even when the caller has just parsed every file, so a
+    lint-then-index pass parses the corpus twice.
     """
     from .analyze import completeness, pattern_histogram
 
@@ -162,7 +153,7 @@ def build_index(
                 method.pattern.path.text,
                 f"{float(score):.3f}",
             )
-            rows.append(tuple(field.replace("\t", " ") for field in fields))
+            rows.append(tuple(field.translate(_INDEX_FIELD_SPACES) for field in fields))
     _, _, resolution_diags = pattern_histogram(methods, catalog)
     diagnostics.extend(resolution_diags)
     lines = ["\t".join(INDEX_HEADER)]

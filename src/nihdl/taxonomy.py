@@ -232,11 +232,8 @@ def extend_catalog(catalog: PatternCatalog, parent: PatternPath, name: str) -> P
     MAX_DEPTH.
     """
     check_name(name)
-    target = resolve_path(catalog, parent).node
-    if target is None:
+    if resolve_path(catalog, parent).node is None:
         raise ParentNotFoundError(f"parent path not in catalog: {parent.text}")
-    if _find(target.children, name) is not None:
-        raise DuplicateChildError(f"{target.name!r} already has a child named {name!r}")
 
     def rebuild(siblings: tuple[PatternNode, ...], depth: int) -> tuple[PatternNode, ...]:
         """``siblings`` at ``depth`` of the parent path, the new node added

@@ -79,14 +79,14 @@ def pattern(rng: random.Random, paths: list[PatternPath]) -> model.PatternAssign
 def binding(rng: random.Random) -> model.CarrierBinding:
     kind = rng.choice(list(model.BindingKind))
     if kind is model.BindingKind.SINGLE_PROTOCOL:
-        return model.CarrierBinding.single(text(rng, 2, 10))
+        return model.CarrierBinding(kind, (text(rng, 2, 10),))
     if kind is model.BindingKind.PROTOCOL_SET:
-        return model.CarrierBinding.protocol_set(
-            *(text(rng, 2, 10) for _ in range(rng.randint(2, 4)))
+        return model.CarrierBinding(
+            kind, tuple(text(rng, 2, 10) for _ in range(rng.randint(2, 4)))
         )
     if kind is model.BindingKind.FEATURE_BASED:
-        return model.CarrierBinding.feature_based(
-            *(text(rng, 2, 10) for _ in range(rng.randint(1, 3)))
+        return model.CarrierBinding(
+            kind, tuple(text(rng, 2, 10) for _ in range(rng.randint(1, 3)))
         )
     return model.CarrierBinding(kind)
 
@@ -94,7 +94,7 @@ def binding(rng: random.Random) -> model.CarrierBinding:
 def directness(rng: random.Random) -> model.Directness:
     kind = rng.choice(list(model.DirectnessKind))
     if kind is model.DirectnessKind.INDIRECT:
-        return model.Directness.indirect(text(rng))
+        return model.Directness(kind, text(rng))
     return model.Directness(kind)
 
 

@@ -125,7 +125,7 @@ def _mutations(gap, dhcp):
         PatternPath.of("Network Covert Storage Channels")))
     yield "E112", dataclasses.replace(
         gap, pattern=model.PatternAssignment(path=UNASSIGNED))
-    yield "E120", chan(gap, directness=model.Directness.indirect(""))
+    yield "E120", chan(gap, directness=model.Directness(model.DirectnessKind.INDIRECT, ""))
     yield "E130", chan(gap, bandwidth=None)
     yield "E140", dataclasses.replace(
         gap, countermeasures=(elimination, limitation))

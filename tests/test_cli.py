@@ -324,12 +324,13 @@ class TestStatsCommand:
         code, _, err = run(capsys, ["stats", str(tmp_path)])
         assert code == 2
 
-    def test_unreadable_catalog_is_usage_error(self, capsys, tmp_path):
+    def test_unreadable_catalog_is_e007(self, capsys, tmp_path):
         (tmp_path / "descriptions").mkdir()
         (tmp_path / "catalog.nihc").write_bytes(b'catalog "caf\xe9" {}\n')
         code, out, err = run(capsys, ["stats", str(tmp_path)])
         assert code == 2 and out == ""
-        assert err == f"usage error: cannot read catalog file {tmp_path / 'catalog.nihc'}\n"
+        assert err == (f"E007 error cannot read {tmp_path / 'catalog.nihc'}: 'utf-8' codec "
+                       "can't decode byte 0xe9 in position 12: invalid continuation byte\n")
 
     def test_unreadable_description_exits_2_after_every_diagnostic(self, capsys, tmp_path):
         shutil.copytree(SYNTHETIC_DIR, tmp_path / "corpus")
@@ -466,8 +467,8 @@ class TestCatalogAddCommand:
         capsys.readouterr()
         code, _, err = run(capsys, argv)
         assert code == 1
-        assert err == ("DuplicateChildError: 'Network Covert Timing Channels' "
-                       "already has a child named 'Rate Pattern'\n")
+        assert err == ("DuplicateChildError: duplicate child 'Rate Pattern' "
+                       "under 'Network Covert Timing Channels'\n")
 
     def test_empty_justification_is_usage_error(self, capsys, tmp_path):
         catalog_path, justification = self._setup(tmp_path)
@@ -560,10 +561,11 @@ def test_catalog_add_with_closed_stdout_leaves_the_catalog_unchanged(tmp_path):
 # argv names placeholders that the ``hostile`` fixture fills in: a
 # directory where a file is expected, a file that is not UTF-8, a
 # description that does not parse, a year with more digits than int()
-# reads, corpora without content, a corpus name too long for the file
-# system, empty --attributes items, and catalog-add values, a blank
-# justification or a catalog that cannot be stored; a few omit a required
-# --catalog. Each case's stderr is pinned in tests/golden/hostile_stderr.txt.
+# reads, corpora without content, a catalog that does not exist, a corpus
+# or catalog name too long for the file system, empty --attributes items,
+# and catalog-add values, a blank justification or a catalog that cannot
+# be stored; a few omit a required --catalog. Each case's stderr is pinned
+# in tests/golden/hostile_stderr.txt.
 HOSTILE_CASES = [
     ("validate-directory", ["validate", "{directory}", "--catalog", "{catalog}"], 2),
     ("validate-not-utf8", ["validate", "{latin1}", "--catalog", "{catalog}"], 2),
@@ -571,6 +573,7 @@ HOSTILE_CASES = [
     ("validate-huge-year", ["validate", "{huge_year}", "--catalog", "{catalog}"], 1),
     ("validate-catalog-directory", ["validate", "{gap}", "--catalog", "{directory}"], 2),
     ("validate-catalog-not-utf8", ["validate", "{gap}", "--catalog", "{latin1}"], 2),
+    ("validate-catalog-missing", ["validate", "{gap}", "--catalog", "{missing}"], 2),
     ("validate-without-catalog", ["validate", "{gap}"], 2),
     ("validate-unreadable-malformed-catalog",
      ["validate", "{latin1}", "--catalog", "{malformed}"], 2),
@@ -580,6 +583,7 @@ HOSTILE_CASES = [
     ("tree-catalog-directory", ["tree", "--catalog", "{directory}"], 2),
     ("tree-catalog-not-utf8", ["tree", "--catalog", "{latin1}"], 2),
     ("tree-catalog-malformed", ["tree", "--catalog", "{malformed}"], 1),
+    ("tree-catalog-long-name", ["tree", "--catalog", "c" * 300], 2),
     ("stats-empty-directory", ["stats", "{directory}"], 2),
     ("stats-empty-corpus", ["stats", "{empty_corpus}", "--by-year", "--patterns",
                             "--combined", "--inconsistent"], 0),
@@ -688,6 +692,7 @@ def hostile(tmp_path):
     (symlink_corpus / "descriptions" / "loop.nihd").symlink_to("loop.nihd")
     shutil.copy(GAP_FILE, symlink_corpus / "descriptions")
     paths = dict(directory=directory, latin1=latin1, malformed=malformed,
+                 missing=tmp_path / "missing.nihc",
                  huge_year=huge_year, catalog=catalog, long_name_catalog=long_name_catalog,
                  why=why, blank_why=blank_why, empty_corpus=empty_corpus,
                  hostile_corpus=hostile_corpus,

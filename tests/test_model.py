@@ -222,7 +222,7 @@ class TestNormalize:
 def _minimal(**overrides):
     channel = model.ChannelProperties(
         scenarios=frozenset({model.ChannelScenario.END_TO_END}),
-        directness=model.Directness.direct(),
+        directness=model.Directness(model.DirectnessKind.DIRECT),
         bandwidth=model.ChannelCharacteristic(Presence.ABSENT),
         undetectability=model.ChannelCharacteristic(Presence.ABSENT),
         robustness=model.ChannelCharacteristic(Presence.ABSENT),
@@ -255,8 +255,9 @@ class TestConstructorInvariants:
     def test_protocol_set_needs_two(self):
         with pytest.raises(ValueError,
                            match="^protocol-set requires at least two protocols$"):
-            model.CarrierBinding.protocol_set("TCP")
-        assert len(model.CarrierBinding.protocol_set("TCP", "UDP").names) == 2
+            model.CarrierBinding(model.BindingKind.PROTOCOL_SET, ("TCP",))
+        pair = model.CarrierBinding(model.BindingKind.PROTOCOL_SET, ("TCP", "UDP"))
+        assert len(pair.names) == 2
 
     def test_single_protocol_takes_one(self):
         with pytest.raises(ValueError, match="^single-protocol takes exactly one protocol$"):
@@ -268,7 +269,7 @@ class TestConstructorInvariants:
 
     def test_feature_based_needs_one(self):
         with pytest.raises(ValueError):
-            model.CarrierBinding.feature_based()
+            model.CarrierBinding(model.BindingKind.FEATURE_BASED)
 
     def test_refers_flag_restricted_to_undetectability(self):
         bad = model.ChannelCharacteristic(Presence.FULL, refers_to_countermeasures=True)
@@ -276,7 +277,7 @@ class TestConstructorInvariants:
                                              "the undetectability metric$"):
             model.ChannelProperties(
                 scenarios=frozenset({model.ChannelScenario.END_TO_END}),
-                directness=model.Directness.direct(),
+                directness=model.Directness(model.DirectnessKind.DIRECT),
                 bandwidth=bad,
                 undetectability=model.ChannelCharacteristic(Presence.ABSENT),
                 robustness=model.ChannelCharacteristic(Presence.ABSENT),
@@ -288,7 +289,7 @@ class TestConstructorInvariants:
                            match="^at least one communication scenario is required$"):
             model.ChannelProperties(
                 scenarios=frozenset(),
-                directness=model.Directness.direct(),
+                directness=model.Directness(model.DirectnessKind.DIRECT),
                 bandwidth=model.ChannelCharacteristic(Presence.ABSENT),
                 undetectability=model.ChannelCharacteristic(Presence.ABSENT),
                 robustness=model.ChannelCharacteristic(Presence.ABSENT),

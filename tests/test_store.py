@@ -1,6 +1,7 @@
 """Corpus discovery, loading and the derived index file."""
 
 import os
+import re
 import shutil
 import stat
 
@@ -8,7 +9,6 @@ import pytest
 
 from nihdl import store
 from nihdl.store import (
-    MissingCatalogError,
     MissingDirectoryError,
     StoreError,
     build_index,
@@ -73,15 +73,20 @@ class TestLoadAll:
         assert documents == []
         assert [d.code for d in diags] == ["E007"]
 
-    def test_missing_catalog_error(self, tmp_path):
-        corpus = open_corpus(tmp_path)
-        with pytest.raises(MissingCatalogError):
-            store.load_catalog(corpus)
+    def test_missing_catalog_is_e007(self, tmp_path):
+        catalog, diags = store.load_catalog(open_corpus(tmp_path))
+        assert catalog is None
+        assert [d.code for d in diags] == ["E007"]
+        assert re.match(r"cannot read .*/catalog\.nihc: \[Errno 2\] No such file or directory",
+                        diags[0].message)
 
-    def test_catalog_name_too_long_is_a_store_error(self, tmp_path):
+    def test_catalog_name_too_long_is_e007(self, tmp_path):
         corpus = store.Corpus(tmp_path, tmp_path / ("c" * 300), ())
-        with pytest.raises(StoreError, match="^cannot read catalog file .*: File name too long$"):
-            store.load_catalog(corpus)
+        catalog, diags = store.load_catalog(corpus)
+        assert catalog is None
+        assert [d.code for d in diags] == ["E007"]
+        assert re.match(r"cannot read .*/c{300}: \[Errno 36\] File name too long",
+                        diags[0].message)
 
 
 class TestBuildIndex:
@@ -152,6 +157,16 @@ class TestBuildIndex:
         assert [tuple(line.split("\t")) for line in lines[1:]] == rows
         assert {len(line.split("\t")) for line in lines} == {6}
         assert rows[1][1:3] == ('tab here \\ "q"', "gian  vecchio")
+
+    def test_a_line_break_in_a_file_name_is_written_as_a_space(self, tmp_path, catalog):
+        corpus = self._working_copy(tmp_path)
+        descriptions = corpus.root / "descriptions"
+        (descriptions / "gap_channel.nihd").rename(descriptions / "gap\nchannel.nihd")
+        rows, diags = build_index(open_corpus(corpus.root), catalog)
+        assert diags == []
+        lines = (corpus.root / "index.tsv").read_text().splitlines()
+        assert [len(line.split("\t")) for line in lines] == [6, 6, 6]
+        assert lines[2].split("\t")[0] == rows[1][0] == "descriptions/gap channel.nihd"
 
     def test_unresolvable_paths_reported(self, tmp_path, catalog):
         corpus = self._working_copy(tmp_path)

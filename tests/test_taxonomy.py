@@ -138,8 +138,8 @@ class TestExtendCatalog:
         parent = PatternPath.of("Network Covert Timing Channels")
         with pytest.raises(
             DuplicateChildError,
-            match="^'Network Covert Timing Channels' already has a child named "
-                  "'Inter-arrival Time Pattern'$",
+            match="^duplicate child 'Inter-arrival Time Pattern' "
+                  "under 'Network Covert Timing Channels'$",
         ):
             extend_catalog(catalog, parent, "Inter-arrival Time Pattern")
 

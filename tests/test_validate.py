@@ -7,7 +7,7 @@ import pytest
 
 from nihdl import dsl, model
 from nihdl.analyze import pattern_histogram
-from nihdl.diagnostics import Severity
+from nihdl.diagnostics import Diagnostic, Severity, SourceLocation
 from nihdl.taxonomy import PatternCatalog, PatternPath, UNASSIGNED
 from nihdl.validate import ValidationMode, validate, validate_document
 
@@ -110,12 +110,14 @@ class TestPatternRules:
 
 class TestChannelRules:
     def test_e120_indirect_without_requirements(self, gap_method, catalog):
-        bad = with_channel(gap_method, directness=model.Directness.indirect(""))
+        bad = with_channel(gap_method,
+                           directness=model.Directness(model.DirectnessKind.INDIRECT, ""))
         assert error_codes(validate(bad, catalog)) == ["E120"]
 
     def test_indirect_with_requirements_is_fine(self, gap_method, catalog):
         ok = with_channel(gap_method,
-                          directness=model.Directness.indirect("a bounce host"))
+                          directness=model.Directness(model.DirectnessKind.INDIRECT,
+                                                      "a bounce host"))
         assert "E120" not in codes(validate(ok, catalog))
 
     def test_e130_missing_metric_block(self, gap_method, catalog):
@@ -250,6 +252,13 @@ class TestUnspecifiedValues:
         with_warden = dataclasses.replace(gap_method, warden=model.WardenProfile())
         diags = validate(with_warden, catalog, SURVEY)
         assert codes(diags) == ["W210", "W210", "W210"]
+
+
+def test_diagnostic_values_refuse_a_bad_location_or_code():
+    with pytest.raises(ValueError, match="^line and column are 1-based$"):
+        SourceLocation("f", 0, 1)
+    with pytest.raises(ValueError, match="^malformed diagnostic code 'X1'$"):
+        Diagnostic("X1", "m")
 
 
 class TestDocumentLevel:

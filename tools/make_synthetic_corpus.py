@@ -85,12 +85,13 @@ def build_method(i: int, leaves: list[PatternPath]) -> model.MethodDescription:
             presence=scenario_presence, purpose=model.Purpose.GENERAL_PURPOSE
         )
 
+    carrier_presence = presence_from_start(i, *MARGINALS["carrier"])
     carrier = model.CarrierRequirements(
-        presence=presence_from_start(i, *MARGINALS["carrier"]),
-        binding=(
-            model.CarrierBinding.generic()
-            if presence_from_start(i, *MARGINALS["carrier"]) is model.Presence.FULL
-            else model.CarrierBinding.unspecified()
+        presence=carrier_presence,
+        binding=model.CarrierBinding(
+            model.BindingKind.GENERIC
+            if carrier_presence is model.Presence.FULL
+            else model.BindingKind.UNSPECIFIED
         ),
     )
 
@@ -115,7 +116,7 @@ def build_method(i: int, leaves: list[PatternPath]) -> model.MethodDescription:
 
     channel = model.ChannelProperties(
         scenarios=frozenset({model.ChannelScenario.END_TO_END}),
-        directness=model.Directness.direct(),
+        directness=model.Directness(model.DirectnessKind.DIRECT),
         bandwidth=model.ChannelCharacteristic(
             presence=presence_from_end(i, *MARGINALS["bandwidth"])
         ),
