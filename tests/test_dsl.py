@@ -11,6 +11,8 @@ import pytest
 from nihdl import dsl
 from nihdl.diagnostics import Severity
 from nihdl.taxonomy import (
+    PatternCatalog,
+    PatternNode,
     PatternPath,
     ResolutionKind,
     list_leaves,
@@ -433,6 +435,22 @@ class TestSerialize:
         with pytest.raises(ValueError,
                            match="^cannot serialize: block 'bandwidth' is missing$"):
             dsl.serialize(dsl.Document(methods=(bad,)))
+
+    def test_serialized_bytes_are_pinned(self):
+        """A digest over the text of 500 seeded random documents, which
+        reach every key and value form, then of three catalogs: unlabelled
+        and empty, labelled and empty, and one quoting its label with a
+        leaf root and a chain."""
+        rng = random.Random(2020)
+        digest = hashlib.sha256()
+        for _ in range(500):
+            digest.update(dsl.serialize(document(rng)).encode())
+        chain = PatternNode("B", (PatternNode("C", (PatternNode("D"),)),))
+        for catalog in (PatternCatalog(), PatternCatalog(label="x"),
+                        PatternCatalog(roots=(PatternNode("A"), chain), label='q"\\')):
+            digest.update(dsl.serialize_catalog(catalog).encode())
+        assert digest.hexdigest() == (
+            "63bca70b5c1c68bcba5d16cd6d3eb58cd76fa226dce1072cfc4195d4d9837661")
 
     def test_catalog_round_trip(self):
         text = dsl.serialize_catalog(seed_catalog())
