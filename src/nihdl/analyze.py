@@ -40,14 +40,8 @@ _ATTRIBUTES = tuple(TrackedAttribute)
 #: it carries a combined-description group.
 _PRESENCE_CELLS = tuple((cell, cell + ",combined") for cell in ("No", "Par", "Yes"))
 
-#: Extra comparison-matrix columns beyond the six tracked attributes.
-RELATION_COLUMN = "relation"
-DIRECTNESS_COLUMN = "directness"
-
-MATRIX_COLUMNS = tuple(a.key for a in _ATTRIBUTES) + (
-    RELATION_COLUMN,
-    DIRECTNESS_COLUMN,
-)
+#: The six tracked attributes, then the relation and directness columns.
+MATRIX_COLUMNS = tuple(a.key for a in _ATTRIBUTES) + ("relation", "directness")
 
 
 def format_percent(numerator: int, denominator: int) -> str:

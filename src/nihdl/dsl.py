@@ -186,8 +186,8 @@ class _Kind:
     def text(self, value) -> str:
         raise NotImplementedError
 
-    def emit(self, w: _Writer, key: _Key, value) -> None:
-        w.line(f"{key.name}: {self.text(value)}")
+    def emit(self, lines: list[str], indent: str, head: str, value) -> None:
+        lines.append(f"{indent}{head}: {self.text(value)}")
 
     def collect(self, items: list) -> object:
         """The field value of a repeated key's items, in file order."""
@@ -383,8 +383,8 @@ class _Justify(_Kind):
         rationale, _ = p.string_value("justification")
         return model.Justification(element, rationale)
 
-    def emit(self, w, key, value):
-        w.line(f"{key.name} {_quote(value.element)}: {_quote(value.rationale)}")
+    def emit(self, lines, indent, head, value):
+        lines.append(f"{indent}{head} {_quote(value.element)}: {_quote(value.rationale)}")
 
 
 class _Block(_Kind):
@@ -405,10 +405,10 @@ class _Block(_Kind):
             return block_fields
         return p.build("E005", at, self.make, block_fields)
 
-    def emit(self, w, key, value):
-        w.open(key.name)
-        _emit_block(w, self, value)
-        w.close()
+    def emit(self, lines, indent, head, value):
+        lines.append(f"{indent}{head} {{")
+        _emit_block(lines, indent + "  ", self, value)
+        lines.append(indent + "}")
 
 
 # The description grammar: one entry per block, its keys in canonical order.
@@ -780,33 +780,16 @@ def _quote(value: str) -> str:
     return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-class _Writer:
-    def __init__(self) -> None:
-        self.lines: list[str] = []
-        self.depth = 0
-
-    def line(self, text: str) -> None:
-        self.lines.append("  " * self.depth + text)
-
-    def open(self, header: str) -> None:
-        self.line(header + " {")
-        self.depth += 1
-
-    def close(self) -> None:
-        self.depth -= 1
-        self.line("}")
-
-
-def _emit_block(w: _Writer, block: _Block, obj) -> None:
+def _emit_block(lines: list[str], indent: str, block: _Block, obj) -> None:
     for key in block.keys:
         kind = key.kind
         value = obj if key.field is None else getattr(obj, key.field)
         if key.need is _REPEATED:
             for item in kind.members(value):
-                kind.emit(w, key, item)
+                kind.emit(lines, indent, key.name, item)
         # Identity first: most defaults are None, and `!=` is slower.
         elif value is not None if kind.default is None else value != kind.default:
-            kind.emit(w, key, value)
+            kind.emit(lines, indent, key.name, value)
         elif key.need is _REQUIRED:
             raise ValueError(f"cannot serialize: {kind.word} {key.name!r} is missing")
 
@@ -815,30 +798,27 @@ def serialize(doc: Document) -> str:
     """Canonical text for a document; the empty document serializes to ""."""
     if not doc.methods:
         return ""
-    w = _Writer()
-    for i, method in enumerate(doc.methods):
-        if i:
-            w.line("")
-        method = model.normalize(method)
-        w.open(f"{_METHOD_WORD} {_quote(method.name)}")
-        _emit_block(w, _METHOD, method)
-        w.close()
-    return "\n".join(w.lines) + "\n"
+    lines: list[str] = []
+    for method in map(model.normalize, doc.methods):
+        if lines:
+            lines.append("")
+        _METHOD.emit(lines, "", f"{_METHOD_WORD} {_quote(method.name)}", method)
+    return "\n".join(lines) + "\n"
 
 
 def serialize_catalog(catalog: PatternCatalog) -> str:
     """Canonical text for a catalog file: each header opens its children's block, or `{}`."""
-    w = _Writer()
+    lines: list[str] = []
 
-    def emit(header: str, children: tuple[PatternNode, ...]) -> None:
+    def emit(indent: str, header: str, children: tuple[PatternNode, ...]) -> None:
         if not children:
-            w.line(header + " {}")
+            lines.append(f"{indent}{header} {{}}")
             return
-        w.open(header)
+        lines.append(f"{indent}{header} {{")
         for node in children:
-            emit(f"node {_quote(node.name)}", node.children)
-        w.close()
+            emit(indent + "  ", f"node {_quote(node.name)}", node.children)
+        lines.append(indent + "}")
 
-    emit("catalog" if catalog.label is None else f"catalog {_quote(catalog.label)}",
+    emit("", "catalog" if catalog.label is None else f"catalog {_quote(catalog.label)}",
          catalog.roots)
-    return "\n".join(w.lines) + "\n"
+    return "\n".join(lines) + "\n"

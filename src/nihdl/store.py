@@ -7,9 +7,12 @@ row is one line of six fields). Description files are discovered in
 lexicographic order, parse failures never abort the load of other files,
 and the index is written atomically (temp file plus rename), so repeated
 runs on an unchanged corpus are byte-identical. A rewritten file keeps its
-mode; a new one gets 0666 less the umask. A corpus directory that cannot
-be listed (a name too long, say) is a ``StoreError``; a catalog or
-description file that cannot be read, a missing one included, gives E007.
+mode; a new one gets 0666 less the umask, and a symbolic link is written
+through: its target is rewritten and the link stays. A corpus directory
+that cannot be listed (a name too long, say) is a ``StoreError``; a catalog
+or description file that cannot be read, a missing one included, gives
+E007, as does a ``*.nihd`` entry that is neither a regular file nor a
+directory (a FIFO, a socket or a device), which is never opened.
 """
 
 from __future__ import annotations
@@ -35,10 +38,6 @@ class StoreError(Exception):
     pass
 
 
-class MissingDirectoryError(StoreError):
-    pass
-
-
 @dataclass(frozen=True)
 class Corpus:
     root: Path
@@ -53,7 +52,7 @@ def open_corpus(directory: str | Path) -> Corpus:
     files: tuple[Path, ...] = ()
     try:
         if not root.is_dir():
-            raise MissingDirectoryError(f"not a corpus directory: {root}")
+            raise StoreError(f"not a corpus directory: {root}")
         if descriptions_dir.is_dir():
             # Every entry, readable or not: one that is not a readable file gets E007.
             files = tuple(sorted((p for p in descriptions_dir.iterdir()
@@ -95,6 +94,13 @@ def load_all(corpus: Corpus) -> tuple[list[dsl.Document], list[Diagnostic]]:
     documents: list[dsl.Document] = []
     diagnostics: list[Diagnostic] = []
     for path in corpus.description_files:
+        try:
+            mode = path.stat().st_mode
+        except OSError:  # the read reports it
+            mode = stat.S_IFREG
+        if not (stat.S_ISREG(mode) or stat.S_ISDIR(mode)):
+            diagnostics.append(Diagnostic("E007", f"cannot read {path}: not a regular file"))
+            continue
         document, diags = read_description_file(path)
         diagnostics.extend(diags)
         if document is not None:
@@ -104,7 +110,10 @@ def load_all(corpus: Corpus) -> tuple[list[dsl.Document], list[Diagnostic]]:
 
 def atomic_write_text(path: Path, text: str) -> None:
     """Write via a new temp file in the target directory, then rename over;
-    the target's mode, if it exists, is given to the temp file first."""
+    the target's mode, if it exists, is given to the temp file first. A
+    symbolic link is written through: its target is replaced, the link stays."""
+    if os.path.islink(path):
+        path = os.path.realpath(path)
     try:
         mode = stat.S_IMODE(os.stat(path).st_mode)
     except FileNotFoundError:

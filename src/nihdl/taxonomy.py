@@ -10,8 +10,8 @@ leaf. All values are immutable; extension returns a new catalog.
 Pattern names match byte-wise (case-sensitive, no normalization), may not
 contain "/" (the textual path separator is " / ") or a line break, and carry
 no leading or trailing whitespace. Sibling order is author order and is preserved.
-A catalog nests at most MAX_DEPTH levels, as deep as a catalog file may, so
-every catalog can be written to a file and read back.
+A catalog nests at most MAX_DEPTH levels, as deep as a catalog file may, and
+its label holds no line break, so every catalog can be written and read back.
 """
 
 from __future__ import annotations
@@ -24,14 +24,6 @@ MAX_DEPTH = 64  # levels of nesting a catalog may hold, roots at level 1
 
 
 class TaxonomyError(Exception):
-    pass
-
-
-class EmptyPathError(TaxonomyError):
-    pass
-
-
-class NotRenderableError(TaxonomyError):
     pass
 
 
@@ -109,6 +101,8 @@ class PatternCatalog:
     def __post_init__(self) -> None:
         _check_siblings(self.roots, None)
         _check_depth(self.roots, None, 1)
+        if self.label is not None and ("\n" in self.label or "\r" in self.label):
+            raise TaxonomyError(f"catalog label may not contain a line break: {self.label!r}")
 
     @property
     def is_empty(self) -> bool:
@@ -173,7 +167,7 @@ def resolve_path(catalog: PatternCatalog, path: PatternPath) -> Resolution:
     fails to match otherwise.
     """
     if path.unassigned or not path.elements:
-        raise EmptyPathError("cannot resolve an empty or unassigned path")
+        raise TaxonomyError("cannot resolve an empty or unassigned path")
     siblings = catalog.roots
     for index, name in enumerate(path.elements):
         node = _find(siblings, name)
@@ -193,7 +187,7 @@ def render_chain(path: PatternPath) -> str:
     no trailing newline.
     """
     if path.unassigned or not path.elements:
-        raise NotRenderableError("nothing to render for an empty or unassigned path")
+        raise TaxonomyError("nothing to render for an empty or unassigned path")
     lines = [path.elements[0]]
     for depth, name in enumerate(path.elements[1:]):
         lines.append(" " * (4 * depth) + "`-- " + name)

@@ -456,6 +456,21 @@ class TestCatalogAddCommand:
         assert code == 0
         assert stat.S_IMODE(catalog_path.stat().st_mode) == 0o644
 
+    def test_add_through_a_symlink_rewrites_its_target(self, capsys, tmp_path):
+        target, justification = self._setup(tmp_path)
+        link = tmp_path / "link.nihc"
+        link.symlink_to(target.name)
+        code, _, _ = run(capsys, [
+            "catalog-add", "--catalog", str(link),
+            "--parent", "Network Covert Timing Channels",
+            "--name", "Rate Pattern", "--justification", str(justification),
+        ])
+        assert code == 0
+        assert link.is_symlink() and os.readlink(link) == target.name
+        assert 'node "Rate Pattern" {}' in target.read_text()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "catalog.nihc", "link.nihc", "why.txt"]
+
     def test_duplicate_add_exits_1(self, capsys, tmp_path):
         catalog_path, justification = self._setup(tmp_path)
         argv = [
@@ -512,6 +527,14 @@ def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
 
 
+def _cli_env() -> dict[str, str]:
+    """This process's environment for a CLI subprocess: no NIHDL_CATALOG,
+    and nihdl imported from this tree."""
+    env = {name: value for name, value in os.environ.items() if name != "NIHDL_CATALOG"}
+    env["PYTHONPATH"] = str(Path(nihdl.__file__).parent.parent)
+    return env
+
+
 @pytest.mark.parametrize("argv", [
     ["render", str(SYNTHETIC_DIR / "descriptions" / "batch_00.nihd")],
     ["stats", str(SYNTHETIC_DIR)],
@@ -520,16 +543,29 @@ def test_help_exits_zero(capsys):
 def test_closed_stdout_exits_2_in_silence(argv):
     """A command whose stdout pipe has no reader left (its read end is
     closed before the command starts) exits 2 with nothing on stderr."""
-    env = {name: value for name, value in os.environ.items() if name != "NIHDL_CATALOG"}
-    env["PYTHONPATH"] = str(Path(nihdl.__file__).parent.parent)
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         result = subprocess.run([sys.executable, "-m", "nihdl.cli", *argv],
-                                stdout=write_end, stderr=subprocess.PIPE, env=env)
+                                stdout=write_end, stderr=subprocess.PIPE, env=_cli_env())
     finally:
         os.close(write_end)
     assert (result.returncode, result.stderr.decode()) == (2, "")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_stats_does_not_open_a_fifo_among_the_descriptions(tmp_path):
+    """A FIFO named like a description is reported, not opened: opening it
+    would wait for a writer that never comes."""
+    root = tmp_path / "corpus"
+    shutil.copytree(FIXTURES / "corpus", root)
+    fifo = root / "descriptions" / "pipe.nihd"
+    os.mkfifo(fifo)
+    result = subprocess.run([sys.executable, "-m", "nihdl.cli", "stats", str(root)],
+                            capture_output=True, text=True, env=_cli_env(), timeout=30)
+    assert (result.returncode, result.stderr) == (
+        2, f"E007 error cannot read {fifo}: not a regular file\n")
+    assert "methods: 2" in result.stdout
 
 
 def test_catalog_add_with_closed_stdout_leaves_the_catalog_unchanged(tmp_path):
@@ -541,8 +577,6 @@ def test_catalog_add_with_closed_stdout_leaves_the_catalog_unchanged(tmp_path):
     before = catalog.read_bytes()
     why = tmp_path / "why.txt"
     why.write_text("A distinct timing pattern.\n")
-    env = {name: value for name, value in os.environ.items() if name != "NIHDL_CATALOG"}
-    env["PYTHONPATH"] = str(Path(nihdl.__file__).parent.parent)
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
@@ -550,7 +584,7 @@ def test_catalog_add_with_closed_stdout_leaves_the_catalog_unchanged(tmp_path):
             [sys.executable, "-m", "nihdl.cli", "catalog-add", "--catalog", str(catalog),
              "--parent", "Network Covert Timing Channels", "--name", "Rate Pattern",
              "--justification", str(why)],
-            stdout=write_end, stderr=subprocess.PIPE, env=env)
+            stdout=write_end, stderr=subprocess.PIPE, env=_cli_env())
     finally:
         os.close(write_end)
     assert (result.returncode, result.stderr.decode()) == (2, "")

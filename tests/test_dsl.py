@@ -438,9 +438,10 @@ class TestSerialize:
 
     def test_serialized_bytes_are_pinned(self):
         """A digest over the text of 500 seeded random documents, which
-        reach every key and value form, then of three catalogs: unlabelled
-        and empty, labelled and empty, and one quoting its label with a
-        leaf root and a chain."""
+        reach wardens, every binding and directness form, `ref` and
+        `shared-with`, then of three catalogs: unlabelled and empty,
+        labelled and empty, and one quoting its label with a leaf root and
+        a chain."""
         rng = random.Random(2020)
         digest = hashlib.sha256()
         for _ in range(500):

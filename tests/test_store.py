@@ -9,7 +9,6 @@ import pytest
 
 from nihdl import store
 from nihdl.store import (
-    MissingDirectoryError,
     StoreError,
     build_index,
     load_all,
@@ -31,7 +30,8 @@ class TestOpenCorpus:
         assert corpus.description_files == ()
 
     def test_missing_directory(self, tmp_path):
-        with pytest.raises(MissingDirectoryError):
+        with pytest.raises(StoreError,
+                           match=f"^not a corpus directory: {re.escape(str(tmp_path))}/nope$"):
             open_corpus(tmp_path / "nope")
 
     def test_name_too_long_is_a_store_error(self, tmp_path):

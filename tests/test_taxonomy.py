@@ -1,15 +1,14 @@
 """Catalog resolution, rendering and extension."""
 
+import re
 from pathlib import Path
 
 import pytest
 
 from nihdl.taxonomy import (
     DuplicateChildError,
-    EmptyPathError,
     MAX_DEPTH,
     InvalidNameError,
-    NotRenderableError,
     ParentNotFoundError,
     PatternCatalog,
     PatternNode,
@@ -71,11 +70,13 @@ class TestResolvePath:
         assert res.failed_index == 0
 
     def test_empty_path_is_an_error(self, catalog):
-        with pytest.raises(EmptyPathError):
+        with pytest.raises(TaxonomyError,
+                           match="^cannot resolve an empty or unassigned path$"):
             resolve_path(catalog, PatternPath())
 
     def test_unassigned_is_an_error(self, catalog):
-        with pytest.raises(EmptyPathError):
+        with pytest.raises(TaxonomyError,
+                           match="^cannot resolve an empty or unassigned path$"):
             resolve_path(catalog, UNASSIGNED)
 
 
@@ -100,9 +101,11 @@ class TestRenderChain:
         assert recovered == list(DHCP_PATH.elements)
 
     def test_unrenderable(self):
-        with pytest.raises(NotRenderableError):
+        with pytest.raises(TaxonomyError,
+                           match="^nothing to render for an empty or unassigned path$"):
             render_chain(UNASSIGNED)
-        with pytest.raises(NotRenderableError):
+        with pytest.raises(TaxonomyError,
+                           match="^nothing to render for an empty or unassigned path$"):
             render_chain(PatternPath())
 
 
@@ -227,6 +230,13 @@ class TestInvariants:
     def test_duplicate_roots_rejected(self):
         with pytest.raises(DuplicateChildError, match="^duplicate root 'A'$"):
             PatternCatalog(roots=(PatternNode("A"), PatternNode("A")))
+
+    @pytest.mark.parametrize("label", ["x\ny", "x\ry"])
+    def test_a_label_with_a_line_break_is_refused(self, label):
+        """Such a label could not be written to a catalog file."""
+        message = f"catalog label may not contain a line break: {label!r}"
+        with pytest.raises(TaxonomyError, match=f"^{re.escape(message)}$"):
+            PatternCatalog(roots=(PatternNode("A"),), label=label)
 
     def test_name_rules(self):
         with pytest.raises(InvalidNameError):
