@@ -3,16 +3,20 @@
 Layout: ``<root>/catalog.nihc``, ``<root>/descriptions/*.nihd`` and the
 generated ``<root>/index.tsv`` (UTF-8, LF, tab-separated; a tab, line
 feed or carriage return inside a field is written as one space, so every
-row is one line of six fields). Description files are discovered in
-lexicographic order, parse failures never abort the load of other files,
-and the index is written atomically (temp file plus rename), so repeated
-runs on an unchanged corpus are byte-identical. A rewritten file keeps its
-mode; a new one gets 0666 less the umask, and a symbolic link is written
-through: its target is rewritten and the link stays. A corpus directory
-that cannot be listed (a name too long, say) is a ``StoreError``; a catalog
-or description file that cannot be read, a missing one included, gives
-E007, as does a ``*.nihd`` entry that is neither a regular file nor a
-directory (a FIFO, a socket or a device), which is never opened.
+row is one line of six fields; each byte of a file name that is not
+UTF-8 is written as U+FFFD, so the index stays valid UTF-8). Description
+files are discovered in lexicographic order, parse failures never abort
+the load of other files, and the index is written atomically (temp file
+plus rename), so repeated runs on an unchanged corpus are byte-identical.
+``build_index`` parses the corpus itself; a caller that already holds its
+parsed documents indexes them with ``write_index``. A rewritten file
+keeps its mode; a new one gets 0666 less the umask, and a symbolic link
+is written through: its target is rewritten and the link stays. A corpus
+directory that cannot be listed (a name too long, say) is a
+``StoreError``; a catalog or description file that cannot be read, a
+missing one included, gives E007, as does a ``*.nihd`` entry that is
+neither a regular file nor a directory (a FIFO, a socket or a device),
+which is never opened.
 """
 
 from __future__ import annotations
@@ -32,6 +36,9 @@ INDEX_FILE_NAME = "index.tsv"
 
 INDEX_HEADER = ("file", "method", "source", "year", "pattern", "score")
 _INDEX_FIELD_SPACES = str.maketrans("\t\n\r", "   ")
+# A file name byte that is not UTF-8 comes from ``iterdir`` as a lone
+# surrogate (``surrogateescape``); the index writes it as U+FFFD.
+_UNDECODABLE_BYTES = dict.fromkeys(range(0xDC80, 0xDD00), "\ufffd")
 
 
 class StoreError(Exception):
@@ -135,18 +142,30 @@ def atomic_write_text(path: Path, text: str) -> None:
 def build_index(
     corpus: Corpus, catalog: PatternCatalog
 ) -> tuple[list[tuple[str, ...]], list[Diagnostic]]:
-    """Write ``index.tsv``: one row per method with its completeness score.
+    """Parse the corpus with ``load_all``, then ``write_index`` its documents.
 
-    Returns the data rows, as written, and any parse/resolution
-    diagnostics. A tab, line feed or carriage return inside a field is
-    written as one space. Methods from files that fail to parse are absent
-    from the index. The corpus is always read and parsed again through
-    ``load_all``, even when the caller has just parsed every file, so a
-    lint-then-index pass parses the corpus twice.
+    Returns the data rows, as written, and the parse diagnostics followed
+    by the resolution ones. Methods from files that fail to parse are
+    absent from the index.
+    """
+    documents, diagnostics = load_all(corpus)
+    rows, resolution = write_index(corpus, documents, catalog)
+    return rows, diagnostics + resolution
+
+
+def write_index(
+    corpus: Corpus, documents: list[dsl.Document], catalog: PatternCatalog
+) -> tuple[list[tuple[str, ...]], list[Diagnostic]]:
+    """Write ``index.tsv`` for already parsed ``documents``: one row per
+    method with its completeness score.
+
+    Returns the data rows, as written, and the E110/E111 diagnostics of
+    pattern paths the catalog cannot resolve. A document whose
+    ``source_file`` is not under ``corpus.root`` raises ``ValueError``
+    before anything is written.
     """
     from .analyze import completeness, pattern_histogram
 
-    documents, diagnostics = load_all(corpus)
     rows: list[tuple[str, ...]] = []
     methods = []
     for document in documents:
@@ -155,7 +174,7 @@ def build_index(
             methods.append(method)
             score = completeness(method).aggregate
             fields = (
-                relative.as_posix(),
+                relative.as_posix().translate(_UNDECODABLE_BYTES),
                 method.name,
                 method.source if method.source is not None else "-",
                 str(method.year) if method.year is not None else "-",
@@ -163,9 +182,8 @@ def build_index(
                 f"{float(score):.3f}",
             )
             rows.append(tuple(field.translate(_INDEX_FIELD_SPACES) for field in fields))
-    _, _, resolution_diags = pattern_histogram(methods, catalog)
-    diagnostics.extend(resolution_diags)
+    _, _, resolution = pattern_histogram(methods, catalog)
     lines = ["\t".join(INDEX_HEADER)]
     lines.extend("\t".join(row) for row in rows)
     atomic_write_text(corpus.root / INDEX_FILE_NAME, "\n".join(lines) + "\n")
-    return rows, diagnostics
+    return rows, resolution

@@ -4,6 +4,7 @@ import hashlib
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -545,3 +546,34 @@ class TestParserTotality:
                 assert loc is not None
                 assert 1 <= loc.line <= len(lines)
                 assert 1 <= loc.column <= len(lines[loc.line - 1]) + 1
+
+
+# Inputs whose parse time could turn super-linear: (parse, head, unit,
+# tail), the unit repeated to fill the size.
+_GROWING_SHAPES = {
+    "a run of {": (dsl.parse_description, "", "{", ""),
+    "an unterminated string of \\a escapes": (dsl.parse_description, 'method "', "\\a", ""),
+    "repeated source keys": (dsl.parse_description, 'method "m" {\n', 'source: "s"\n', "}\n"),
+    "a huge year": (dsl.parse_description, 'method "m" {\n  year: ', "9", "\n}\n"),
+    "nested catalog nodes": (dsl.parse_catalog, 'catalog "c" {\n', 'node "a" {\n', ""),
+    "a long method name": (dsl.parse_description, 'method "', "a", '" {\n}\n'),
+    "comment lines": (dsl.parse_description, "", "# a comment line\n", ""),
+}
+
+
+def test_parse_time_is_linear_in_the_input():
+    """Each shape parsed at 32k and 256k characters, min of 3: linear time
+    gives a ratio of 8, quadratic 64. The escape shape is linear but reads
+    15-17, its time stepping up once between 128k and 256k."""
+    def seconds(parse, head, unit, tail, size):
+        text = head + unit * ((size - len(head) - len(tail)) // len(unit)) + tail
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            parse(text, "t")
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    ratios = {name: seconds(*shape, 256_000) / seconds(*shape, 32_000)
+              for name, shape in _GROWING_SHAPES.items()}
+    assert max(ratios.values()) < 32, ratios

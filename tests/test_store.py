@@ -7,15 +7,16 @@ import stat
 
 import pytest
 
-from nihdl import store
+from nihdl import dsl, store
 from nihdl.store import (
     StoreError,
     build_index,
     load_all,
     open_corpus,
+    write_index,
 )
 
-from conftest import CORPUS_DIR, SYNTHETIC_DIR
+from conftest import CORPUS_DIR, GAP_FILE, SYNTHETIC_DIR
 
 
 class TestOpenCorpus:
@@ -187,6 +188,68 @@ class TestBuildIndex:
         rows, diags = build_index(corpus, catalog)
         assert len(rows) == 3
         assert any(d.code == "E110" for d in diags)
+
+    def test_a_file_name_that_is_not_utf8_is_written_with_u_fffd(self, tmp_path, catalog):
+        corpus = self._working_copy(tmp_path)
+        descriptions = os.fsencode(corpus.root / "descriptions")
+        try:
+            os.rename(descriptions + b"/gap_channel.nihd", descriptions + b"/gap_\xffchannel.nihd")
+        except OSError:
+            pytest.skip("the filesystem refuses a file name that is not UTF-8")
+        rows, diags = build_index(open_corpus(corpus.root), catalog)
+        assert diags == []
+        lines = (corpus.root / "index.tsv").read_bytes().decode("utf-8").splitlines()
+        assert [tuple(line.split("\t")) for line in lines[1:]] == rows
+        assert rows[1][0] == "descriptions/gap_\ufffdchannel.nihd"
+
+
+def _synthetic_copy(root):
+    shutil.copytree(SYNTHETIC_DIR, root)
+
+
+def _faulty_copy(root):
+    """The fixture corpus plus an undecodable file, one that fails to parse
+    and a method whose pattern path the catalog cannot resolve."""
+    shutil.copytree(CORPUS_DIR, root)
+    descriptions = root / "descriptions"
+    (descriptions / "a_undecodable.nihd").write_bytes(b"\xff\xfe\x00junk")
+    (descriptions / "broken.nihd").write_text('method "x" {')
+    (descriptions / "stray.nihd").write_text(
+        GAP_FILE.read_text()
+        .replace("Model-based inter-packet gap channel", "stray")
+        .replace("Network Covert Timing Channels", "Totally New Root"))
+
+
+class TestWriteIndex:
+    @pytest.mark.parametrize("make, codes", [
+        (_synthetic_copy, []),
+        (_faulty_copy, ["E007", "E001", "E110"]),
+    ])
+    def test_indexes_load_all_as_build_index_does(self, tmp_path, catalog, make, codes):
+        make(tmp_path / "corpus")
+        corpus = open_corpus(tmp_path / "corpus")
+        built_rows, built_diags = build_index(corpus, catalog)
+        built = (corpus.root / "index.tsv").read_bytes()
+        (corpus.root / "index.tsv").unlink()
+        documents, parse_diags = load_all(corpus)
+        rows, resolution = write_index(corpus, documents, catalog)
+        assert (corpus.root / "index.tsv").read_bytes() == built
+        assert rows == built_rows
+        assert parse_diags + resolution == built_diags
+        assert [d.code for d in built_diags] == codes
+
+    def test_a_document_not_from_the_corpus_is_refused_before_writing(self, tmp_path, catalog):
+        shutil.copytree(CORPUS_DIR, tmp_path / "corpus")
+        corpus = open_corpus(tmp_path / "corpus")
+        build_index(corpus, catalog)
+        index = (corpus.root / "index.tsv").read_bytes()
+        listing = sorted(p.name for p in corpus.root.iterdir())
+        document, _ = dsl.parse_description(GAP_FILE.read_text())
+        assert document.source_file == "<input>"
+        with pytest.raises(ValueError):
+            write_index(corpus, [document], catalog)
+        assert (corpus.root / "index.tsv").read_bytes() == index
+        assert sorted(p.name for p in corpus.root.iterdir()) == listing
 
 
 def test_atomic_write_keeps_the_mode(tmp_path):
