@@ -257,7 +257,7 @@ def inconsistency_report(methods: list[MethodDescription]) -> list[Inconsistency
 def _directness_cell(directness: Directness) -> str:
     if directness.kind is DirectnessKind.UNSPECIFIED:
         return "No"
-    if directness.kind is DirectnessKind.INDIRECT and not directness.requirements.strip():
+    if directness.undescribed_intermediary:
         # Stated indirect but the intermediary is not described:
         # a partially covered directness.
         return "Par"

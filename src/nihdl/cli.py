@@ -103,6 +103,8 @@ def cmd_validate(args) -> int:
     assigned = any(not m.pattern.path.unassigned for doc in documents for m in doc.methods)
     catalog = _catalog(args, " to resolve pattern paths" if assigned else None, status)
     mode = ValidationMode.STRICT if args.strict else ValidationMode.SURVEY
+    if catalog.is_empty:
+        documents = documents[:1]  # E006, the one finding, is the same for every document
     for document in documents:
         status = _print_diagnostics(validate_document(document, catalog, mode), status)
     return status
@@ -561,7 +563,9 @@ def main(argv: list[str] | None = None) -> int:
             sys.stdout.flush()
     except BrokenPipeError:
         # Python's "Note on SIGPIPE": on devnull, the flush at exit cannot fail again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return EXIT_USAGE
 
 

@@ -41,8 +41,9 @@ repeated key may appear any number of times and so is never a duplicate.
 The parser, the serializer and the validator's check for `unspecified`
 values all walk it; it is the only place key order and optionality live.
 
-Value rules (a non-empty name, a year in range, ...) live in the model
-only: the parser builds each model value where the file states it and
+Value rules (a non-empty name, a year in range, ...) live in the model,
+except that a string value is single-line, which the serializer's _quote
+holds. The parser builds each model value where the file states it and
 reports the model's refusal at that token. Before its colon, a `justify`
 element or `feature` line is asked of the model's check_justified or check_features;
 a catalog node's name is asked of the taxonomy's check_name before its block.
@@ -80,13 +81,6 @@ class Document:
 
     methods: tuple[model.MethodDescription, ...] = ()
     source_file: str = field(default="<memory>", compare=False)
-
-
-def normalize_document(doc: Document) -> Document:
-    return Document(
-        methods=tuple(model.normalize(m) for m in doc.methods),
-        source_file=doc.source_file,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,11 @@ class PatternAssignment:
         for j in self.justifications:
             check_justified(self.path, j.element)
 
+    @property
+    def justified(self) -> dict[str, str]:
+        """Each justified element's rationale; a blank rationale justifies nothing."""
+        return {j.element: j.rationale for j in self.justifications if j.rationale.strip()}
+
 
 class Purpose(Enum):
     GENERAL_PURPOSE = "general-purpose"
@@ -169,6 +174,11 @@ class Directness:
     def __post_init__(self) -> None:
         if self.kind is not DirectnessKind.INDIRECT and self.requirements:
             raise ValueError("only indirect channels carry intermediary requirements")
+
+    @property
+    def undescribed_intermediary(self) -> bool:
+        """Indirect, with blank intermediary requirements."""
+        return self.kind is DirectnessKind.INDIRECT and not self.requirements.strip()
 
 
 @dataclass(frozen=True)

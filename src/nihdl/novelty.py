@@ -87,11 +87,7 @@ def assess(d: MethodDescription, catalog: PatternCatalog) -> NoveltyVerdict:
     assert index is not None
     if index == 0:
         return Rejected(f"unknown root pattern {path.elements[0]!r}")
-    justified = {
-        j.element: j.rationale
-        for j in d.pattern.justifications
-        if j.rationale.strip()
-    }
+    justified = d.pattern.justified
     for element in path.elements[index:]:
         if element not in justified:
             return Rejected("new pattern requires detailed explanation")
@@ -141,10 +137,6 @@ class WorkflowState:
     def __post_init__(self) -> None:
         if (self.published_as is not None) != (self.stage is WorkflowStage.PUBLISHED):
             raise ValueError("published_as is set exactly for the published stage")
-
-    @classmethod
-    def initial(cls) -> WorkflowState:
-        return cls(WorkflowStage.PATTERN_DATABASE_READY)
 
     def render(self) -> str:
         if self.stage is WorkflowStage.PUBLISHED:

@@ -127,10 +127,6 @@ class PatternPath:
             check_name(element)
 
     @classmethod
-    def of(cls, *elements: str) -> PatternPath:
-        return cls(elements=tuple(elements))
-
-    @classmethod
     def from_text(cls, text: str) -> PatternPath:
         return cls(elements=tuple(text.split(PATH_SEPARATOR)))
 
@@ -244,31 +240,20 @@ def extend_catalog(catalog: PatternCatalog, parent: PatternPath, name: str) -> P
     return PatternCatalog(roots=rebuild(catalog.roots, 0), label=catalog.label)
 
 
-def _chains(catalog: PatternCatalog, leaves_only: bool) -> list[tuple[str, ...]]:
-    """The name chain of every node (or only of every leaf), depth-first
-    in author order."""
-    chains: list[tuple[str, ...]] = []
+def list_leaves(catalog: PatternCatalog) -> list[PatternPath]:
+    """Every root-to-leaf path exactly once, in depth-first author order."""
+    leaves: list[PatternPath] = []
 
     def walk(node: PatternNode, prefix: tuple[str, ...]) -> None:
         chain = prefix + (node.name,)
-        if not (leaves_only and node.children):
-            chains.append(chain)
+        if not node.children:
+            leaves.append(PatternPath(elements=chain))
         for child in node.children:
             walk(child, chain)
 
     for root in catalog.roots:
         walk(root, ())
-    return chains
-
-
-def list_leaves(catalog: PatternCatalog) -> list[PatternPath]:
-    """Every root-to-leaf path exactly once, in depth-first author order."""
-    return [PatternPath(elements=chain) for chain in _chains(catalog, leaves_only=True)]
-
-
-def iter_node_paths(catalog: PatternCatalog) -> list[PatternPath]:
-    """Every root-to-node path (leaves and internals), depth-first."""
-    return [PatternPath(elements=chain) for chain in _chains(catalog, leaves_only=False)]
+    return leaves
 
 
 def _chain(*names: str) -> PatternNode:

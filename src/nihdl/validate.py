@@ -73,7 +73,7 @@ def validate(
         diags.append(Diagnostic(code, message, d.location, d.name))  # type: ignore[arg-type]
 
     path = d.pattern.path
-    justified = {j.element for j in d.pattern.justifications if j.rationale.strip()}
+    justified = d.pattern.justified
     if path.unassigned:
         if not justified:
             report("E112", "unassigned pattern requires a justification")
@@ -84,10 +84,7 @@ def validate(
             if element not in justified:
                 report("W200", f"path element {element!r} has no justify entry")
 
-    if (
-        d.channel.directness.kind is model.DirectnessKind.INDIRECT
-        and not d.channel.directness.requirements.strip()
-    ):
+    if d.channel.directness.undescribed_intermediary:
         report("E120", "indirect channel must describe intermediary requirements")
 
     for name, metric in d.channel.metrics().items():

@@ -31,7 +31,6 @@ from nihdl.diagnostics import Severity
 from nihdl.taxonomy import (
     PatternPath,
     UNASSIGNED,
-    iter_node_paths,
     list_leaves,
     render_chain,
     resolve_path,
@@ -50,24 +49,24 @@ from conftest import (
 )
 from randgen import description, document
 
-LSB_PATH = PatternPath.of(
+LSB_PATH = PatternPath((
     "Network Covert Storage Channels",
     "Modification of Non-Payload",
     "Structure Preserving",
     "Modification of an Attribute",
     "Value Modulation",
     "Least Significant Bit (LSB)",
-)
-TIMING_PATH = PatternPath.of(
+))
+TIMING_PATH = PatternPath((
     "Network Covert Timing Channels", "Inter-arrival Time Pattern"
-)
-DHCP_PATH = PatternPath.of(
+))
+DHCP_PATH = PatternPath((
     "Network Covert Storage Channels",
     "Modification of Non-Payload",
     "Structure Modifying",
     "Sequence Pattern",
     "Number of Elements Pattern",
-)
+))
 
 LSB_BLOCK = """\
 Network Covert Storage Channels
@@ -119,10 +118,10 @@ def _mutations(gap, dhcp):
 
     elimination, limitation, detection = gap.countermeasures
     yield "E110", dataclasses.replace(gap, pattern=pattern_with(
-        PatternPath.of("Network Covert Storage Channels",
-                       "Inter-arrival Time Pattern")))
+        PatternPath(("Network Covert Storage Channels",
+                     "Inter-arrival Time Pattern"))))
     yield "E111", dataclasses.replace(gap, pattern=pattern_with(
-        PatternPath.of("Network Covert Storage Channels")))
+        PatternPath.from_text("Network Covert Storage Channels")))
     yield "E112", dataclasses.replace(
         gap, pattern=model.PatternAssignment(path=UNASSIGNED))
     yield "E120", chan(gap, directness=model.Directness(model.DirectnessKind.INDIRECT, ""))
@@ -200,7 +199,7 @@ def test_c03_round_trip_1000_documents():
         text = dsl.serialize(doc)
         parsed, diags = dsl.parse_description(text, "generated")
         assert parsed is not None, [d.render() for d in diags]
-        assert parsed == dsl.normalize_document(doc)
+        assert parsed == dsl.Document(tuple(map(model.normalize, doc.methods)))
         assert dsl.serialize(parsed) == text
         descriptions += len(doc.methods)
         documents += 1
@@ -254,7 +253,7 @@ def c04_stream():
                 again, again_diags = dsl.parse_catalog(dsl.serialize_catalog(value), "again")
             else:
                 again, again_diags = dsl.parse_description(dsl.serialize(value), "again")
-                value = dsl.normalize_document(value)
+                value = dsl.Document(tuple(map(model.normalize, value.methods)))
             if again_diags or again != value:
                 broken = text
         walked.append((dt, value is not None, diags, broken))
@@ -407,7 +406,7 @@ def test_c08_workflow_model_check():
         assert not any(s == terminal for (s, _) in edges)
     # Exhaustive path enumeration from the initial state over simple paths
     # confirms the traversal property end to end.
-    initial = novelty.WorkflowState.initial()
+    initial = novelty.WorkflowState(novelty.WorkflowStage.PATTERN_DATABASE_READY)
     stack = [(initial, (initial,))]
     paths_to_big = paths_to_small = 0
     while stack:
@@ -433,13 +432,23 @@ def test_c08_workflow_model_check():
           f"{paths_to_small} small-c simple paths)")
 
 
+def _node_paths(catalog):
+    """Every root-to-node path, depth-first: the prefixes of the leaf
+    paths in first-seen order."""
+    return list(dict.fromkeys(
+        PatternPath(leaf.elements[:i])
+        for leaf in list_leaves(catalog)
+        for i in range(1, len(leaf.elements) + 1)
+    ))
+
+
 def test_c09_catalog_extension_fixpoint():
     rng = random.Random(1309)
     catalog = seed_catalog()
     original_leaves = list_leaves(catalog)
     base = parse_fixture(GAP_FILE).methods[0]
     for i in range(100):
-        parent = rng.choice(iter_node_paths(catalog))
+        parent = rng.choice(_node_paths(catalog))
         name = f"Proposed Pattern {i:03d}"
         path = PatternPath(elements=parent.elements + (name,))
         draft = dataclasses.replace(
@@ -454,7 +463,7 @@ def test_c09_catalog_extension_fixpoint():
         verdict = novelty.assess(draft, catalog)
         assert isinstance(verdict, novelty.BigCCandidate), verdict
         assert verdict.proposed_name == name
-        before = {p: resolve_path(catalog, p).kind for p in iter_node_paths(catalog)}
+        before = {p: resolve_path(catalog, p).kind for p in _node_paths(catalog)}
         catalog = novelty.accept_big_c(catalog, verdict)
         reassessed = novelty.assess(draft, catalog)
         assert isinstance(reassessed, novelty.SmallC)

@@ -198,7 +198,7 @@ class TestPatternHistogram:
 
         stray = dataclasses.replace(
             gap_method,
-            pattern=model.PatternAssignment(path=PatternPath.of("Made Up")),
+            pattern=model.PatternAssignment(path=PatternPath.from_text("Made Up")),
         )
         counts, unassigned, diags = pattern_histogram([stray], catalog)
         assert [d.code for d in diags] == ["E110"]

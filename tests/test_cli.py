@@ -101,6 +101,15 @@ class TestValidateCommand:
         assert code == 1
         assert "E006" in err
 
+    def test_empty_catalog_reports_e006_once_per_run(self, capsys, tmp_path):
+        empty = tmp_path / "empty.nihc"
+        empty.write_text("catalog {}\n")
+        batches = SYNTHETIC_DIR / "descriptions"
+        code, _, err = run(capsys, ["validate", str(batches / "batch_00.nihd"),
+                                    str(batches / "batch_01.nihd"), "--catalog", str(empty)])
+        assert (code, err) == (1, "E006 error catalog defines no patterns; "
+                                  "descriptions cannot be classified\n")
+
     def test_unreadable_file_is_usage_error(self, capsys, tmp_path):
         code, _, err = run(capsys, ["validate", str(tmp_path / "ghost.nihd"), *CAT])
         assert code == 2
@@ -551,6 +560,19 @@ def test_closed_stdout_exits_2_in_silence(argv):
     finally:
         os.close(write_end)
     assert (result.returncode, result.stderr.decode()) == (2, "")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_closed_stdout_in_process_leaves_no_descriptor_open(monkeypatch):
+    """Called in-process on a stdout pipe with no reader, main points
+    stdout at the null device and closes the descriptor it opened for it."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        before = len(os.listdir("/proc/self/fd"))
+        assert main(["render", str(GAP_FILE)]) == 2
+        assert len(os.listdir("/proc/self/fd")) == before
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")

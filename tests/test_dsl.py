@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from nihdl import dsl
+from nihdl import dsl, model
 from nihdl.diagnostics import Severity
 from nihdl.taxonomy import (
     PatternCatalog,
@@ -383,7 +383,7 @@ class TestParseCatalog:
     def test_sixty_four_levels_parse(self):
         catalog, diags = dsl.parse_catalog(_chain_catalog(64), "t")
         assert diags == []
-        assert resolve_path(catalog, PatternPath.of(*["a"] * 64)).kind is ResolutionKind.LEAF
+        assert resolve_path(catalog, PatternPath(("a",) * 64)).kind is ResolutionKind.LEAF
 
     def test_sixty_fifth_level_fails_at_its_node(self):
         catalog, diags = dsl.parse_catalog(_chain_catalog(65), "t")
@@ -496,7 +496,7 @@ def test_key_sequencing_golden():
             continue
         rendered.append(f"{label}: parses")
         again, diags = dsl.parse_description(dsl.serialize(doc), "again")
-        assert diags == [] and again == dsl.normalize_document(doc), label
+        assert diags == [] and again == dsl.Document(tuple(map(model.normalize, doc.methods))), label
     golden = (GOLDEN / "sequencing.txt").read_text(encoding="utf-8")
     assert "\n".join(rendered) + "\n" == golden
 
@@ -509,7 +509,7 @@ class TestRoundTripProperty:
             text = dsl.serialize(doc)
             parsed, diags = dsl.parse_description(text, "gen")
             assert parsed is not None, [d.render() for d in diags]
-            assert parsed == dsl.normalize_document(doc)
+            assert parsed == dsl.Document(tuple(map(model.normalize, doc.methods)))
             assert dsl.serialize(parsed) == text
 
 

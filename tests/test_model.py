@@ -230,7 +230,7 @@ def _minimal(**overrides):
     )
     fields = dict(
         name="m",
-        pattern=model.PatternAssignment(path=PatternPath.of("X")),
+        pattern=model.PatternAssignment(path=PatternPath.from_text("X")),
         carrier=model.CarrierRequirements(presence=Presence.ABSENT),
         sender=model.SenderProcess(),
         receiver=model.ReceiverProcess(),
@@ -308,7 +308,7 @@ class TestConstructorInvariants:
         with pytest.raises(ValueError,
                            match="^justify names 'C', which is not on the path$"):
             model.PatternAssignment(
-                path=PatternPath.of("A", "B"),
+                path=PatternPath(("A", "B")),
                 justifications=(model.Justification("C", "why"),),
             )
 

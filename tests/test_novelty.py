@@ -37,7 +37,7 @@ def with_path(method, path, justify=()):
     )
 
 
-RATE_PATH = PatternPath.of("Network Covert Timing Channels", "Rate Pattern")
+RATE_PATH = PatternPath(("Network Covert Timing Channels", "Rate Pattern"))
 
 
 class TestAssess:
@@ -56,7 +56,7 @@ class TestAssess:
         draft = with_path(gap_method, RATE_PATH, [("Rate Pattern", "rate-based signaling")])
         verdict = assess(draft, catalog)
         assert isinstance(verdict, BigCCandidate)
-        assert verdict.parent == PatternPath.of("Network Covert Timing Channels")
+        assert verdict.parent == PatternPath.from_text("Network Covert Timing Channels")
         assert verdict.proposed_name == "Rate Pattern"
         assert verdict.justification == "rate-based signaling"
 
@@ -79,7 +79,7 @@ class TestAssess:
     def test_internal_path_is_rejected(self, gap_method, catalog):
         draft = with_path(
             gap_method,
-            PatternPath.of("Network Covert Storage Channels"),
+            PatternPath.from_text("Network Covert Storage Channels"),
             [("Network Covert Storage Channels", "stored values")],
         )
         assert isinstance(assess(draft, catalog), Rejected)
@@ -87,16 +87,16 @@ class TestAssess:
     def test_unknown_root_is_rejected(self, gap_method, catalog):
         draft = with_path(
             gap_method,
-            PatternPath.of("Quantum Channels", "Qubit Pattern"),
+            PatternPath(("Quantum Channels", "Qubit Pattern")),
             [("Quantum Channels", "x"), ("Qubit Pattern", "y")],
         )
         verdict = assess(draft, catalog)
         assert isinstance(verdict, Rejected)
 
     def test_multi_level_proposal_names_the_first_unknown(self, gap_method, catalog):
-        path = PatternPath.of(
+        path = PatternPath((
             "Network Covert Timing Channels", "Rate Pattern", "Burst Sub-pattern"
-        )
+        ))
         draft = with_path(
             gap_method, path,
             [("Rate Pattern", "rates"), ("Burst Sub-pattern", "bursts")],
@@ -122,7 +122,7 @@ class TestAcceptBigC:
 
     def test_unresolvable_parent(self, catalog):
         candidate = BigCCandidate(
-            parent=PatternPath.of("Missing Root"),
+            parent=PatternPath.from_text("Missing Root"),
             proposed_name="Child",
             justification="x",
         )
@@ -131,7 +131,7 @@ class TestAcceptBigC:
 
     def test_candidate_requires_justification(self):
         with pytest.raises(ValueError):
-            BigCCandidate(parent=PatternPath.of("A"), proposed_name="B", justification=" ")
+            BigCCandidate(parent=PatternPath.from_text("A"), proposed_name="B", justification=" ")
 
     def test_prior_resolutions_survive(self, gap_method, catalog):
         draft = with_path(gap_method, RATE_PATH, [("Rate Pattern", "rates")])
@@ -160,7 +160,7 @@ class TestVerdictRendering:
 
 class TestWorkflow:
     def test_happy_path_small_c(self):
-        state = WorkflowState.initial()
+        state = WorkflowState(WorkflowStage.PATTERN_DATABASE_READY)
         state = advance(state, WorkflowEvent.START_IDEA)
         state = advance(state, WorkflowEvent.SUBMIT_DRAFT)
         assert state.stage is WorkflowStage.UNDER_REVIEW
@@ -169,7 +169,7 @@ class TestWorkflow:
         assert state.published_as is ContributionKind.SMALL_C
 
     def test_big_c_passes_through_optimization(self):
-        state = WorkflowState.initial()
+        state = WorkflowState(WorkflowStage.PATTERN_DATABASE_READY)
         state = advance(state, WorkflowEvent.START_IDEA)
         state = advance(state, WorkflowEvent.SUBMIT_DRAFT)
         state = advance(state, WorkflowEvent.REVIEW_ACCEPT_BIG_C)

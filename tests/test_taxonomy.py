@@ -25,24 +25,24 @@ from nihdl.taxonomy import (
 
 GOLDEN = Path(__file__).parent / "golden"
 
-TIMING_PATH = PatternPath.of(
+TIMING_PATH = PatternPath((
     "Network Covert Timing Channels", "Inter-arrival Time Pattern"
-)
-DHCP_PATH = PatternPath.of(
+))
+DHCP_PATH = PatternPath((
     "Network Covert Storage Channels",
     "Modification of Non-Payload",
     "Structure Modifying",
     "Sequence Pattern",
     "Number of Elements Pattern",
-)
-LSB_PATH = PatternPath.of(
+))
+LSB_PATH = PatternPath((
     "Network Covert Storage Channels",
     "Modification of Non-Payload",
     "Structure Preserving",
     "Modification of an Attribute",
     "Value Modulation",
     "Least Significant Bit (LSB)",
-)
+))
 
 
 class TestResolvePath:
@@ -53,19 +53,19 @@ class TestResolvePath:
         assert resolve_path(catalog, DHCP_PATH).kind is ResolutionKind.LEAF
 
     def test_internal_node(self, catalog):
-        res = resolve_path(catalog, PatternPath.of("Network Covert Storage Channels"))
+        res = resolve_path(catalog, PatternPath.from_text("Network Covert Storage Channels"))
         assert res.kind is ResolutionKind.INTERNAL
 
     def test_not_found_reports_first_failing_index(self, catalog):
         res = resolve_path(
             catalog,
-            PatternPath.of("Network Covert Storage Channels", "Inter-arrival Time Pattern"),
+            PatternPath(("Network Covert Storage Channels", "Inter-arrival Time Pattern")),
         )
         assert res.kind is ResolutionKind.NOT_FOUND
         assert res.failed_index == 1
 
     def test_unknown_root_fails_at_index_zero(self, catalog):
-        res = resolve_path(catalog, PatternPath.of("No Such Root"))
+        res = resolve_path(catalog, PatternPath.from_text("No Such Root"))
         assert res.kind is ResolutionKind.NOT_FOUND
         assert res.failed_index == 0
 
@@ -92,7 +92,7 @@ class TestRenderChain:
         )
 
     def test_single_element(self):
-        assert render_chain(PatternPath.of("X")) == "X"
+        assert render_chain(PatternPath.from_text("X")) == "X"
 
     def test_line_count_and_name_recovery(self):
         lines = render_chain(DHCP_PATH).split("\n")
@@ -113,7 +113,7 @@ class TestRenderTree:
     def test_single_chain_matches_render_chain(self):
         node = PatternNode("A", (PatternNode("B", (PatternNode("C"),)),))
         catalog = PatternCatalog(roots=(node,))
-        assert render_tree(catalog) == render_chain(PatternPath.of("A", "B", "C"))
+        assert render_tree(catalog) == render_chain(PatternPath(("A", "B", "C")))
 
     def test_two_bare_roots(self):
         catalog = PatternCatalog(roots=(PatternNode("A"), PatternNode("B")))
@@ -126,19 +126,19 @@ class TestRenderTree:
 
 class TestExtendCatalog:
     def test_new_leaf_resolves(self, catalog):
-        parent = PatternPath.of("Network Covert Timing Channels")
+        parent = PatternPath.from_text("Network Covert Timing Channels")
         extended = extend_catalog(catalog, parent, "Rate Pattern")
-        new_path = PatternPath.of("Network Covert Timing Channels", "Rate Pattern")
+        new_path = PatternPath(("Network Covert Timing Channels", "Rate Pattern"))
         assert resolve_path(extended, new_path).kind is ResolutionKind.LEAF
 
     def test_input_catalog_unchanged(self, catalog):
-        parent = PatternPath.of("Network Covert Timing Channels")
+        parent = PatternPath.from_text("Network Covert Timing Channels")
         before = list_leaves(catalog)
         extend_catalog(catalog, parent, "Rate Pattern")
         assert list_leaves(catalog) == before
 
     def test_duplicate_child(self, catalog):
-        parent = PatternPath.of("Network Covert Timing Channels")
+        parent = PatternPath.from_text("Network Covert Timing Channels")
         with pytest.raises(
             DuplicateChildError,
             match="^duplicate child 'Inter-arrival Time Pattern' "
@@ -147,7 +147,7 @@ class TestExtendCatalog:
             extend_catalog(catalog, parent, "Inter-arrival Time Pattern")
 
     def test_second_extension_with_same_name_fails(self, catalog):
-        parent = PatternPath.of("Network Covert Timing Channels")
+        parent = PatternPath.from_text("Network Covert Timing Channels")
         extended = extend_catalog(catalog, parent, "Rate Pattern")
         with pytest.raises(DuplicateChildError):
             extend_catalog(extended, parent, "Rate Pattern")
@@ -155,19 +155,19 @@ class TestExtendCatalog:
     def test_parent_not_found(self, catalog):
         with pytest.raises(ParentNotFoundError,
                            match="^parent path not in catalog: Nope$"):
-            extend_catalog(catalog, PatternPath.of("Nope"), "Child")
+            extend_catalog(catalog, PatternPath.from_text("Nope"), "Child")
 
     def test_node_deeper_than_the_limit(self):
         chain = PatternNode("a")
         for _ in range(MAX_DEPTH - 1):
             chain = PatternNode("a", (chain,))
         deep = PatternCatalog(roots=(chain,))
-        leaf = PatternPath.of(*["a"] * MAX_DEPTH)
+        leaf = PatternPath(("a",) * MAX_DEPTH)
         assert resolve_path(deep, leaf).kind is ResolutionKind.LEAF
         with pytest.raises(TaxonomyError,
                            match="^catalog nesting deeper than 64: 'b' under 'a'$"):
             extend_catalog(deep, leaf, "b")
-        extend_catalog(deep, PatternPath.of(*leaf.elements[:-1]), "b")
+        extend_catalog(deep, PatternPath(leaf.elements[:-1]), "b")
 
     def test_catalog_deeper_than_the_limit_is_refused(self):
         """Refused at level 65, however deep the chain goes: a chain far
@@ -186,14 +186,14 @@ class TestExtendCatalog:
             PatternCatalog(roots=(chain,))
 
     def test_invalid_name(self, catalog):
-        parent = PatternPath.of("Network Covert Timing Channels")
+        parent = PatternPath.from_text("Network Covert Timing Channels")
         for bad in ("", "a/b", " padded ", "line\nfeed", "carriage\rreturn"):
             with pytest.raises(InvalidNameError):
                 extend_catalog(catalog, parent, bad)
 
     def test_prior_resolutions_unchanged(self, catalog):
-        parent = PatternPath.of("Network Covert Storage Channels",
-                                "Modification of Non-Payload")
+        parent = PatternPath(("Network Covert Storage Channels",
+                              "Modification of Non-Payload"))
         extended = extend_catalog(catalog, parent, "Brand New")
         for leaf in list_leaves(catalog):
             assert resolve_path(extended, leaf).kind is ResolutionKind.LEAF

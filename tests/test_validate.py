@@ -55,17 +55,17 @@ class TestCleanFixtures:
 
 class TestPatternRules:
     def test_e110_unknown_path(self, gap_method, catalog):
-        bad = with_pattern(gap_method, PatternPath.of(
-            "Network Covert Storage Channels", "Inter-arrival Time Pattern"))
+        bad = with_pattern(gap_method, PatternPath((
+            "Network Covert Storage Channels", "Inter-arrival Time Pattern")))
         assert error_codes(validate(bad, catalog)) == ["E110"]
 
     def test_e111_internal_path(self, gap_method, catalog):
-        bad = with_pattern(gap_method, PatternPath.of("Network Covert Storage Channels"))
+        bad = with_pattern(gap_method, PatternPath.from_text("Network Covert Storage Channels"))
         assert error_codes(validate(bad, catalog)) == ["E111"]
 
     def test_e110_e111_worded_as_in_the_histogram(self, gap_method, catalog):
-        unknown = PatternPath.of("Network Covert Storage Channels", "Nope")
-        internal = PatternPath.of("Network Covert Storage Channels")
+        unknown = PatternPath(("Network Covert Storage Channels", "Nope"))
+        internal = PatternPath.from_text("Network Covert Storage Channels")
         doc = dsl.Document(methods=(
             dataclasses.replace(with_pattern(gap_method, unknown), name="a"),
             dataclasses.replace(with_pattern(gap_method, internal), name="b"),
