@@ -3,11 +3,11 @@ catalog-add.
 
 Reports go to stdout, diagnostics to stderr. Exit status 0 means no
 error-severity diagnostics, 1 means error diagnostics were produced, and
-2 means a usage or I/O failure: any command that meets a description or
-catalog file it cannot read prints its E007 line, with the reason, and
-exits 2, whatever else it printed, and so does one whose reader closes
-stdout before the report is written. NIHDL_CATALOG supplies a default
-catalog path where a command takes --catalog.
+2 means a usage or I/O failure: any command that meets a file it cannot
+read (a description, a catalog or a justification) prints its E007 line,
+with the reason, and exits 2, whatever else it printed, and so does one
+whose reader closes stdout before the report is written. NIHDL_CATALOG
+supplies a default catalog path where a command takes --catalog.
 
 Imports: what every command's argument parsing and the shared helpers
 need is imported at module level; a module only some commands use
@@ -22,6 +22,7 @@ import os
 import sys
 from collections.abc import Iterable
 from pathlib import Path
+from typing import NoReturn
 
 from . import dsl, model, store
 from .validate import ValidationMode, validate_document
@@ -43,12 +44,13 @@ EXIT_USAGE = 2
 RULE_LINE = "-" * 72
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Exit(Exception):
     """Ends a command with the exit status in ``args[0]``; the reason is already printed."""
+
+
+def _usage_error(message: str) -> NoReturn:
+    print(f"usage error: {message}", file=sys.stderr)
+    raise _Exit(EXIT_USAGE)
 
 
 def _print_diagnostics(diags: Iterable[Diagnostic], status: int = EXIT_OK) -> int:
@@ -82,7 +84,7 @@ def _catalog(args, required: str | None = None, status: int = EXIT_OK) -> Patter
     if path is None:
         if required is None:
             return seed_catalog()
-        raise _UsageError(f"--catalog (or NIHDL_CATALOG) is required{required}")
+        _usage_error(f"--catalog (or NIHDL_CATALOG) is required{required}")
     return _parsed(*store.read_catalog_file(path), status)
 
 
@@ -323,7 +325,7 @@ def cmd_stats(args) -> int:
     try:
         corpus = store.open_corpus(args.corpus)
     except store.StoreError as exc:
-        raise _UsageError(str(exc)) from None
+        _usage_error(str(exc))
     catalog = _parsed(*store.load_catalog(corpus))
     documents, diags = store.load_all(corpus)
     status = _print_diagnostics(diags)
@@ -421,7 +423,7 @@ def cmd_compare(args) -> int:
     try:
         matrix = analyze.comparison_matrix(methods, attributes)
     except analyze.UnknownAttributeError as exc:
-        raise _UsageError(str(exc)) from None
+        _usage_error(str(exc))
     rows = [["method"] + attributes]
     for method, cells in zip(methods, matrix):
         rows.append([method.name] + cells)
@@ -449,16 +451,11 @@ def cmd_catalog_add(args) -> int:
     from . import novelty
 
     catalog = _catalog(args, "")
-    try:
-        justification = Path(args.justification).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise _UsageError(f"cannot read justification file: {exc}") from None
-    if not justification.strip():
-        raise _UsageError("the justification file is empty")
+    justification = _parsed(*store.read_file(args.justification))
     try:
         parent = PatternPath.from_text(args.parent)
     except InvalidNameError as exc:
-        raise _UsageError(f"malformed --parent path: {exc}") from None
+        _usage_error(f"malformed --parent path: {exc}")
     try:
         candidate = novelty.BigCCandidate(
             parent=parent,
@@ -466,8 +463,8 @@ def cmd_catalog_add(args) -> int:
             justification=justification.strip(),
         )
         extended = novelty.accept_big_c(catalog, candidate)
-    except InvalidNameError as exc:
-        raise _UsageError(str(exc)) from None
+    except (InvalidNameError, ValueError) as exc:  # a bad name or a blank justification
+        _usage_error(str(exc))
     except TaxonomyError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DIAGNOSTICS
@@ -476,7 +473,7 @@ def cmd_catalog_add(args) -> int:
     try:
         store.atomic_write_text(Path(path), dsl.serialize_catalog(extended))
     except OSError as exc:
-        raise _UsageError(f"cannot write catalog file {path}: {exc.strerror}") from None
+        _usage_error(f"cannot write catalog file {path}: {exc.strerror}")
     return EXIT_OK
 
 
@@ -554,9 +551,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         try:
             return args.func(args)
-        except _UsageError as exc:
-            print(f"usage error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
         except _Exit as exc:
             return exc.args[0]
         finally:

@@ -21,6 +21,9 @@ class Severity(Enum):
 
 _SEVERITY_BY_PREFIX = {"E": Severity.ERROR, "W": Severity.WARNING, "I": Severity.INFO}
 _CODE_RE = re.compile(r"^[EWI]\d{3}$")
+# A tab, line feed or carriage return as one space: a rendered diagnostic,
+# like an index.tsv field, is one line whatever a file name holds.
+ONE_LINE = str.maketrans("\t\n\r", "   ")
 
 
 @dataclass(frozen=True)
@@ -66,7 +69,7 @@ class Diagnostic:
         if self.method_name is not None:
             parts.append(f"[{self.method_name}]")
         parts.append(self.message)
-        return " ".join(parts)
+        return " ".join(parts).translate(ONE_LINE)
 
 
 def sort_key(diag: Diagnostic) -> tuple:

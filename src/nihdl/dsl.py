@@ -579,8 +579,9 @@ class _Parser:
         return self.locate(self.offsets[self.pos if at is None else at])
 
     def describe(self) -> str:
-        """The current token as a diagnostic names it."""
-        return _END if self.kind == _END else repr(self.text)
+        """The current token as a diagnostic names it; a string shows its quotes."""
+        text = _quote(self.text) if self.kind == "string" else self.text
+        return _END if self.kind == _END else repr(text)
 
     def fail(self, code: str, message: str, at: int | None = None) -> None:
         raise _Fail(Diagnostic(code, message, self.loc(at)))

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import dsl
-from .diagnostics import Diagnostic
+from .diagnostics import ONE_LINE, Diagnostic
 from .taxonomy import PatternCatalog
 
 CATALOG_FILE_NAME = "catalog.nihc"
@@ -35,7 +35,6 @@ DESCRIPTIONS_DIR_NAME = "descriptions"
 INDEX_FILE_NAME = "index.tsv"
 
 INDEX_HEADER = ("file", "method", "source", "year", "pattern", "score")
-_INDEX_FIELD_SPACES = str.maketrans("\t\n\r", "   ")
 # A file name byte that is not UTF-8 comes from ``iterdir`` as a lone
 # surrogate (``surrogateescape``); the index writes it as U+FFFD.
 _UNDECODABLE_BYTES = dict.fromkeys(range(0xDC80, 0xDD00), "\ufffd")
@@ -80,20 +79,21 @@ def load_catalog(corpus: Corpus) -> tuple[PatternCatalog | None, list[Diagnostic
 
 
 def read_catalog_file(path: str | Path) -> tuple[PatternCatalog | None, list[Diagnostic]]:
-    return _read(Path(path), dsl.parse_catalog)
+    return read_file(path, dsl.parse_catalog)
 
 
 def read_description_file(path: str | Path) -> tuple[dsl.Document | None, list[Diagnostic]]:
-    return _read(Path(path), dsl.parse_description)
+    return read_file(path, dsl.parse_description)
 
 
-def _read(path: Path, parse):
-    """``parse`` the file's text; a file that cannot be read gives E007."""
+def read_file(path: str | Path, parse=None):
+    """``parse`` the file's text, or return it; an unreadable file gives None and E007."""
+    path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         return None, [Diagnostic("E007", f"cannot read {path}: {exc}")]
-    return parse(text, str(path))
+    return (text, []) if parse is None else parse(text, str(path))
 
 
 def load_all(corpus: Corpus) -> tuple[list[dsl.Document], list[Diagnostic]]:
@@ -181,7 +181,7 @@ def write_index(
                 method.pattern.path.text,
                 f"{float(score):.3f}",
             )
-            rows.append(tuple(field.translate(_INDEX_FIELD_SPACES) for field in fields))
+            rows.append(tuple(field.translate(ONE_LINE) for field in fields))
     _, _, resolution = pattern_histogram(methods, catalog)
     lines = ["\t".join(INDEX_HEADER)]
     lines.extend("\t".join(row) for row in rows)

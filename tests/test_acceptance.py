@@ -297,7 +297,7 @@ def test_c04_diagnostics_of_mutants_are_pinned(c04_stream):
             per_code[diag.code] += 1
     assert per_code == {"E001": 6759, "E002": 1388, "E003": 23, "E004": 603, "E005": 51}
     assert digest.hexdigest() == (
-        "88316c0cf9a8e50bec4978e24a9a86dde0e7a3f74d763b8a6ce159db4494fda9")
+        "6af8081c3940892b6c5bc1f3c948e524be778737a747faeaebebf39e4c4be8e7")
 
 
 def _synthetic_methods():

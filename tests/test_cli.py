@@ -353,6 +353,24 @@ class TestStatsCommand:
         assert unreadable.startswith("E007 error cannot read") and " E005 error " in malformed
         assert "methods: 131" in out
 
+    def test_a_line_break_in_a_file_name_keeps_each_diagnostic_on_one_line(self, capsys,
+                                                                          tmp_path):
+        descriptions = tmp_path / "descriptions"
+        descriptions.mkdir()
+        shutil.copy(CATALOG_FILE, tmp_path / "catalog.nihc")
+        try:
+            (descriptions / "a\nb.nihd").write_text('method "x" {\n  bogus\n}\n')
+            (descriptions / "c\rd.nihd").mkdir()
+        except OSError:
+            pytest.skip("the filesystem refuses a line break in a file name")
+        code, _, err = run(capsys, ["stats", str(tmp_path)])
+        assert code == 2
+        assert err.splitlines() == [
+            f"{descriptions}/a b.nihd:2:3: E001 error unknown key 'bogus'",
+            f"E007 error cannot read {descriptions}/c d.nihd: [Errno 21] Is a directory: "
+            f"'{descriptions}/c\\rd.nihd'",
+        ]
+
 
 JOINT_ATTRS = ("application-scenario,carrier-requirements,countermeasures,"
                 "relation,directness,robustness,bandwidth")
@@ -619,9 +637,9 @@ def test_catalog_add_with_closed_stdout_leaves_the_catalog_unchanged(tmp_path):
 # description that does not parse, a year with more digits than int()
 # reads, corpora without content, a catalog that does not exist, a corpus
 # or catalog name too long for the file system, empty --attributes items,
-# and catalog-add values, a blank justification or a catalog that cannot
-# be stored; a few omit a required --catalog. Each case's stderr is pinned
-# in tests/golden/hostile_stderr.txt.
+# and catalog-add values, a justification that is blank or cannot be
+# read or a catalog that cannot be stored; a few omit a required
+# --catalog. Each case's stderr is pinned in tests/golden/hostile_stderr.txt.
 HOSTILE_CASES = [
     ("validate-directory", ["validate", "{directory}", "--catalog", "{catalog}"], 2),
     ("validate-not-utf8", ["validate", "{latin1}", "--catalog", "{catalog}"], 2),
@@ -678,6 +696,9 @@ HOSTILE_CASES = [
     ("catalog-add-justification-not-utf8",
      ["catalog-add", "--catalog", "{catalog}", "--parent", "Network Covert Timing Channels",
       "--name", "Rate Pattern", "--justification", "{latin1}"], 2),
+    ("catalog-add-justification-missing",
+     ["catalog-add", "--catalog", "{catalog}", "--parent", "Network Covert Timing Channels",
+      "--name", "Rate Pattern", "--justification", "{missing}"], 2),
     ("catalog-add-name-line-feed",
      ["catalog-add", "--catalog", "{catalog}", "--parent", "Network Covert Timing Channels",
       "--name", "Rate\nPattern", "--justification", "{why}"], 2),

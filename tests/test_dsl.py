@@ -117,6 +117,17 @@ class TestParseDescription:
         doc, diags = dsl.parse_description(text, "t")
         assert codes(diags) == ["E004"]
 
+    @pytest.mark.parametrize("old, new, message", [
+        ('method "Model-based inter-packet gap channel"', '"method" "m"',
+         "t:1:1: E001 error expected 'method', found '\"method\"'"),
+        ("year: 2008", 'year: "2008"', "t:3:9: E001 error expected year, found '\"2008\"'"),
+        ("status: full", 'status: "full"',
+         "t:11:15: E004 error unknown enumeration token '\"full\"' for status"),
+    ], ids=["keyword", "integer", "enumeration"])
+    def test_a_string_token_is_named_with_its_quotes(self, old, new, message):
+        doc, diags = dsl.parse_description(GAP_FILE.read_text().replace(old, new, 1), "t")
+        assert [d.render() for d in diags] == [message]
+
     def test_year_out_of_range(self):
         text = GAP_FILE.read_text().replace("year: 2008", "year: 1492")
         doc, diags = dsl.parse_description(text, "t")
@@ -345,7 +356,7 @@ def test_token_stream_of_random_edge_strings_is_pinned():
         _, diags = dsl.parse_description(text, "r")
         digest.update(f"{tokens}\n{diags[0].render() if diags else 'parses'}\n".encode())
     assert digest.hexdigest() == (
-        "cdd1a397adc71084ebd8e9d9e3f8391abbf6f75baee65bdfb696f2e4718a3a33")
+        "08951655c515811b135fa287b5de1159ae8950696214f896ab94b236bf54f7a9")
 
 
 def _chain_catalog(levels):
