@@ -12,10 +12,10 @@ is order independent, so results are deterministic for a given corpus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from fractions import Fraction
 
-from .diagnostics import Diagnostic
+from .diagnostics import Diagnostic, value_class
 from .model import (
     CoverageRow,
     Directness,
@@ -53,7 +53,7 @@ def format_percent(numerator: int, denominator: int) -> str:
     return f"{per_mille // 10}.{per_mille % 10}"
 
 
-@dataclass(frozen=True)
+@value_class
 class CoverageVector:
     """The mean completeness score of one description."""
 
@@ -72,7 +72,7 @@ def completeness(d: MethodDescription) -> CoverageVector:
     return _SCORES[sum([presence for presence, _ in coverage(d)])]
 
 
-@dataclass(frozen=True)
+@value_class
 class AttributeCounts:
     full: int = 0
     partial: int = 0
@@ -107,7 +107,7 @@ def _count_attributes(rows: list[CoverageRow]) -> dict[TrackedAttribute, Attribu
     return counts
 
 
-@dataclass(frozen=True)
+@value_class
 class YearStats:
     total: int
     attributes: dict[TrackedAttribute, AttributeCounts]
@@ -167,7 +167,7 @@ def pattern_histogram(
     return counts, unassigned, diagnostics
 
 
-@dataclass(frozen=True)
+@value_class
 class CorpusStats:
     total: int
     attributes: dict[TrackedAttribute, AttributeCounts]
@@ -191,7 +191,7 @@ def corpus_stats(methods: list[MethodDescription], catalog: PatternCatalog) -> C
     )
 
 
-@dataclass(frozen=True)
+@value_class
 class CombinedGroup:
     """Methods of one publication that share a combined-description label."""
 
@@ -226,7 +226,7 @@ def combined_groups(methods: list[MethodDescription]) -> list[CombinedGroup]:
     return rows
 
 
-@dataclass(frozen=True)
+@value_class
 class InconsistencyRow:
     """An attribute whose coverage differs between methods of one publication."""
 

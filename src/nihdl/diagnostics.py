@@ -3,14 +3,15 @@
 Every finding carries a stable code whose first letter determines its
 severity: E = error, W = warning, I = info. Parse-time findings always
 carry a source location; findings computed on hand-constructed values
-may not.
+may not. ``value_class`` here makes every value type of the package.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
+from operator import attrgetter
 
 
 class Severity(Enum):
@@ -26,7 +27,34 @@ _CODE_RE = re.compile(r"^[EWI]\d{3}$")
 ONE_LINE = str.maketrans("\t\n\r", "   ")
 
 
-@dataclass(frozen=True)
+def value_class(cls):
+    """``@dataclass(frozen=True)``, but with ``==``, ``hash`` and ``repr``
+    written once, here, rather than compiled for each class. They read the
+    fields that ``compare`` and ``repr`` select, found once per class."""
+    cls = dataclass(frozen=True, eq=False, repr=False)(cls)
+    compared = [f.name for f in fields(cls) if f.compare]
+    shown = [f.name for f in fields(cls) if f.repr]
+    get = attrgetter(*compared) if compared else lambda value: ()
+    # attrgetter gives one field bare; == and hash take a tuple of fields.
+    key = (lambda value: (get(value),)) if len(compared) == 1 else get
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(key(self))
+
+    def __repr__(self):
+        values = ", ".join(f"{name}={getattr(self, name)!r}" for name in shown)
+        return f"{self.__class__.__qualname__}({values})"
+
+    cls.__eq__, cls.__hash__, cls.__repr__ = __eq__, __hash__, __repr__
+    return cls
+
+
+@value_class
 class SourceLocation:
     """1-based line and column (in code points) inside a named input."""
 
@@ -42,7 +70,7 @@ class SourceLocation:
         return f"{self.file}:{self.line}:{self.column}"
 
 
-@dataclass(frozen=True)
+@value_class
 class Diagnostic:
     code: str
     message: str

@@ -54,11 +54,11 @@ from __future__ import annotations
 import operator
 import re
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import field
 from enum import Enum
 
 from . import model
-from .diagnostics import Diagnostic, SourceLocation
+from .diagnostics import Diagnostic, SourceLocation, value_class
 from .taxonomy import (
     MAX_DEPTH,
     InvalidNameError,
@@ -75,7 +75,7 @@ DESCRIPTION_SUFFIX = ".nihd"
 _METHOD_WORD = "method"
 
 
-@dataclass(frozen=True)
+@value_class
 class Document:
     """An ordered collection of method descriptions from one file."""
 

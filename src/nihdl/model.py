@@ -3,7 +3,9 @@
 A description has three top-level parts: general information (pattern
 assignment, application scenario, carrier requirements), the hiding
 process (sender, receiver, channel properties, optional control
-protocol) and countermeasures. All types are immutable values.
+protocol) and countermeasures. All types are immutable values. The
+dataclasses take ``==``, ``hash`` and ``repr`` from ``diagnostics.value_class``,
+which reads every field but ``MethodDescription.location`` (where it was parsed).
 
 Constructors refuse, with the message the parser reports, a value that
 breaks a rule of the file format; each such rule is checked and worded here
@@ -14,9 +16,10 @@ missing metric blocks, ...) stays representable and is reported by validate.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import field
 from enum import Enum, IntEnum
 
+from .diagnostics import value_class
 from .taxonomy import PatternPath
 
 
@@ -28,7 +31,7 @@ class Presence(IntEnum):
     FULL = 2
 
 
-@dataclass(frozen=True)
+@value_class
 class SharedGroup:
     """Label tying together attributes that one publication describes jointly."""
 
@@ -39,7 +42,7 @@ class SharedGroup:
             raise ValueError("shared-with label must be non-empty")
 
 
-@dataclass(frozen=True)
+@value_class
 class Justification:
     element: str
     rationale: str
@@ -50,7 +53,7 @@ def check_justified(path: PatternPath, element: str) -> None:
         raise ValueError(f"justify names {element!r}, which is not on the path")
 
 
-@dataclass(frozen=True)
+@value_class
 class PatternAssignment:
     path: PatternPath
     justifications: tuple[Justification, ...] = ()
@@ -75,7 +78,7 @@ class Purpose(Enum):
     OTHER = "other"
 
 
-@dataclass(frozen=True)
+@value_class
 class ApplicationScenario:
     presence: Presence
     purpose: Purpose | None = None
@@ -91,7 +94,7 @@ class BindingKind(Enum):
     UNSPECIFIED = "unspecified"
 
 
-@dataclass(frozen=True)
+@value_class
 class CarrierBinding:
     """What carrier the method needs: one protocol, a set, features, or any."""
 
@@ -109,7 +112,7 @@ class CarrierBinding:
             raise ValueError(f"{self.kind.value} binding carries no names")
 
 
-@dataclass(frozen=True)
+@value_class
 class CarrierRequirements:
     presence: Presence
     binding: CarrierBinding = CarrierBinding(BindingKind.UNSPECIFIED)
@@ -138,7 +141,7 @@ class Tristate(Enum):
     UNSPECIFIED = "unspecified"
 
 
-@dataclass(frozen=True)
+@value_class
 class SenderProcess:
     relation: Relation = Relation.UNSPECIFIED
     location: Location = Location.UNSPECIFIED
@@ -147,7 +150,7 @@ class SenderProcess:
     text: str | None = None
 
 
-@dataclass(frozen=True)
+@value_class
 class ReceiverProcess:
     location: Location = Location.UNSPECIFIED
     text: str | None = None
@@ -165,7 +168,7 @@ class DirectnessKind(Enum):
     UNSPECIFIED = "unspecified"
 
 
-@dataclass(frozen=True)
+@value_class
 class Directness:
     kind: DirectnessKind
     # Requirements on the unwitting intermediary; meaningful for INDIRECT.
@@ -181,7 +184,7 @@ class Directness:
         return self.kind is DirectnessKind.INDIRECT and not self.requirements.strip()
 
 
-@dataclass(frozen=True)
+@value_class
 class ChannelCharacteristic:
     """One of the four classic channel metrics (bandwidth, undetectability,
     robustness, cost)."""
@@ -193,7 +196,7 @@ class ChannelCharacteristic:
     text: str | None = None
 
 
-@dataclass(frozen=True)
+@value_class
 class ChannelProperties:
     scenarios: frozenset[ChannelScenario]
     directness: Directness
@@ -233,7 +236,7 @@ def check_features(presence: Presence, features) -> None:
         raise ValueError("an absent control protocol cannot list features")
 
 
-@dataclass(frozen=True)
+@value_class
 class ControlProtocol:
     presence: Presence
     features: frozenset[ControlFeature] = frozenset()
@@ -256,7 +259,7 @@ class Applicability(Enum):
     NOT_APPLICABLE = "not-applicable"
 
 
-@dataclass(frozen=True)
+@value_class
 class CountermeasureEntry:
     kind: CountermeasureKind
     applicability: Applicability
@@ -277,7 +280,7 @@ class WardenActivity(Enum):
     UNSPECIFIED = "unspecified"
 
 
-@dataclass(frozen=True)
+@value_class
 class WardenProfile:
     placement: Location = Location.UNSPECIFIED
     state: WardenState = WardenState.UNSPECIFIED
@@ -295,7 +298,7 @@ def check_year(year: int | str) -> int:
     return year
 
 
-@dataclass(frozen=True)
+@value_class
 class MethodDescription:
     name: str
     pattern: PatternAssignment

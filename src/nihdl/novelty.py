@@ -16,9 +16,9 @@ returns the work to the idea stage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
+from .diagnostics import value_class
 from .model import MethodDescription
 from .taxonomy import (
     PatternCatalog,
@@ -29,13 +29,13 @@ from .taxonomy import (
 )
 
 
-@dataclass(frozen=True)
+@value_class
 class NoveltyVerdict:
     def render(self) -> str:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
+@value_class
 class SmallC(NoveltyVerdict):
     path: PatternPath
 
@@ -43,7 +43,7 @@ class SmallC(NoveltyVerdict):
         return f"small-c: {self.path.text}"
 
 
-@dataclass(frozen=True)
+@value_class
 class BigCCandidate(NoveltyVerdict):
     parent: PatternPath
     proposed_name: str
@@ -57,7 +57,7 @@ class BigCCandidate(NoveltyVerdict):
         return f'Big-C candidate: {self.parent.text} + "{self.proposed_name}"'
 
 
-@dataclass(frozen=True)
+@value_class
 class Rejected(NoveltyVerdict):
     reason: str
 
@@ -129,7 +129,7 @@ class WorkflowEvent(Enum):
     FINISH_OPTIMIZATION = "finish-optimization"
 
 
-@dataclass(frozen=True)
+@value_class
 class WorkflowState:
     stage: WorkflowStage
     published_as: ContributionKind | None = None

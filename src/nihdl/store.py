@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import os
 import stat
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import dsl
-from .diagnostics import ONE_LINE, Diagnostic
+from .diagnostics import ONE_LINE, Diagnostic, value_class
 from .taxonomy import PatternCatalog
 
 CATALOG_FILE_NAME = "catalog.nihc"
@@ -44,7 +43,7 @@ class StoreError(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@value_class
 class Corpus:
     root: Path
     catalog_file: Path
@@ -92,7 +91,8 @@ def read_file(path: str | Path, parse=None):
     try:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        return None, [Diagnostic("E007", f"cannot read {path}: {exc}")]
+        reason = getattr(exc, "strerror", None) or exc  # an OSError names the path again
+        return None, [Diagnostic("E007", f"cannot read {path}: {reason}")]
     return (text, []) if parse is None else parse(text, str(path))
 
 

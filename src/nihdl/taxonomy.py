@@ -16,8 +16,9 @@ its label holds no line break, so every catalog can be written and read back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+
+from .diagnostics import value_class
 
 PATH_SEPARATOR = " / "
 MAX_DEPTH = 64  # levels of nesting a catalog may hold, roots at level 1
@@ -79,7 +80,7 @@ def _check_depth(nodes: tuple[PatternNode, ...], parent: str | None, depth: int)
         _check_depth(node.children, node.name, depth + 1)
 
 
-@dataclass(frozen=True)
+@value_class
 class PatternNode:
     name: str
     children: tuple[PatternNode, ...] = ()
@@ -93,7 +94,7 @@ class PatternNode:
         return not self.children
 
 
-@dataclass(frozen=True)
+@value_class
 class PatternCatalog:
     roots: tuple[PatternNode, ...] = ()
     label: str | None = None
@@ -109,7 +110,7 @@ class PatternCatalog:
         return not self.roots
 
 
-@dataclass(frozen=True)
+@value_class
 class PatternPath:
     """A chain of node names from a root downward, or the unassigned marker.
 
@@ -146,7 +147,7 @@ class ResolutionKind(Enum):
     NOT_FOUND = "not-found"
 
 
-@dataclass(frozen=True)
+@value_class
 class Resolution:
     kind: ResolutionKind
     node: PatternNode | None = None

@@ -367,8 +367,7 @@ class TestStatsCommand:
         assert code == 2
         assert err.splitlines() == [
             f"{descriptions}/a b.nihd:2:3: E001 error unknown key 'bogus'",
-            f"E007 error cannot read {descriptions}/c d.nihd: [Errno 21] Is a directory: "
-            f"'{descriptions}/c\\rd.nihd'",
+            f"E007 error cannot read {descriptions}/c d.nihd: Is a directory",
         ]
 
 

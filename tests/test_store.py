@@ -4,6 +4,7 @@ import os
 import re
 import shutil
 import stat
+from pathlib import Path
 
 import pytest
 
@@ -78,16 +79,23 @@ class TestLoadAll:
         catalog, diags = store.load_catalog(open_corpus(tmp_path))
         assert catalog is None
         assert [d.code for d in diags] == ["E007"]
-        assert re.match(r"cannot read .*/catalog\.nihc: \[Errno 2\] No such file or directory",
-                        diags[0].message)
+        assert re.fullmatch(r"cannot read .*/catalog\.nihc: No such file or directory",
+                            diags[0].message)
 
     def test_catalog_name_too_long_is_e007(self, tmp_path):
         corpus = store.Corpus(tmp_path, tmp_path / ("c" * 300), ())
         catalog, diags = store.load_catalog(corpus)
         assert catalog is None
         assert [d.code for d in diags] == ["E007"]
-        assert re.match(r"cannot read .*/c{300}: \[Errno 36\] File name too long",
-                        diags[0].message)
+        assert re.fullmatch(r"cannot read .*/c{300}: File name too long", diags[0].message)
+
+    def test_an_os_error_without_strerror_gives_its_text(self, tmp_path, monkeypatch):
+        def refuse(self, encoding=None):
+            raise OSError("refused")
+
+        monkeypatch.setattr(Path, "read_text", refuse)
+        _, diags = store.read_file(tmp_path / "x.nihd")
+        assert [d.message for d in diags] == [f"cannot read {tmp_path}/x.nihd: refused"]
 
 
 class TestBuildIndex:

@@ -5,13 +5,16 @@ change without any value reading or comparing differently."""
 import copy
 import dataclasses
 import hashlib
+import importlib
 import pickle
+import pkgutil
 import random
 import re
 
 import pytest
 
-from nihdl import dsl, model
+import nihdl
+from nihdl import diagnostics, dsl, model
 from nihdl.analyze import CorpusStats, corpus_stats
 from nihdl.diagnostics import Diagnostic, SourceLocation
 from nihdl.novelty import (
@@ -149,3 +152,27 @@ def test_copies_replacements_and_dicts_keep_working():
                      pickle.loads(pickle.dumps(value)), dataclasses.replace(value)):
             assert twin == value and _stable_repr(twin) == _stable_repr(value)
         assert isinstance(dataclasses.asdict(value), dict)
+
+
+def _value_classes():
+    """Every dataclass defined in a nihdl submodule."""
+    for info in pkgutil.iter_modules(nihdl.__path__):
+        module = importlib.import_module(f"nihdl.{info.name}")
+        for obj in vars(module).values():
+            if (isinstance(obj, type) and obj.__module__ == module.__name__
+                    and "__dataclass_fields__" in vars(obj)):
+                yield obj
+
+
+def test_every_value_class_takes_eq_hash_and_repr_from_the_helper():
+    # A class made with plain @dataclass(frozen=True) gets generated ones.
+    classes = list(_value_classes())
+    assert len(classes) == 34
+    helper = diagnostics.value_class.__code__.co_consts
+    for cls in classes:
+        for name in ("__eq__", "__hash__", "__repr__"):
+            assert vars(cls)[name].__code__ in helper, (cls.__qualname__, name)
+        generated = {name for name, fn in vars(cls).items()
+                     if getattr(fn, "__code__", None) is not None
+                     and fn.__code__.co_filename == "<string>"}
+        assert generated == {"__init__", "__setattr__", "__delattr__"}, cls.__qualname__
