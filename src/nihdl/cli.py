@@ -200,8 +200,7 @@ def build_report(m: model.MethodDescription) -> str:
     body = [f"Receiver location: {m.receiver.location.value}"]
     section("Receiver-side Process", _block_lines(m.receiver, body))
 
-    names = [s.value for s in model.ChannelScenario if s in m.channel.scenarios]
-    body = [f"Scenario: {', '.join(names)}"]
+    body = [f"Scenario: {', '.join(s.value for s in m.channel.scenarios)}"]
     directness = m.channel.directness
     if directness.kind is model.DirectnessKind.INDIRECT:
         body.append(f"Directness: indirect ({directness.requirements})")
@@ -216,9 +215,8 @@ def build_report(m: model.MethodDescription) -> str:
         body = ["(not described)"]
     else:
         body = [f"Status: {control.presence.name.lower()}"]
-        features = [f.value for f in model.ControlFeature if f in control.features]
-        if features:
-            body.append(f"Features: {', '.join(features)}")
+        if control.features:
+            body.append(f"Features: {', '.join(f.value for f in control.features)}")
         body = _block_lines(control, body)
     section("Control Protocol", body)
 
@@ -250,7 +248,8 @@ def cmd_render(args) -> int:
             print(f"unknown method: {args.method}", file=sys.stderr)
             return EXIT_DIAGNOSTICS
     reports = [build_report(model.normalize(m)) for m in methods]
-    print(("\n" + RULE_LINE + "\n").join(reports))
+    if reports:
+        print(("\n" + RULE_LINE + "\n").join(reports))
     return EXIT_OK
 
 

@@ -183,14 +183,6 @@ class _Kind:
     def emit(self, lines: list[str], indent: str, head: str, value) -> None:
         lines.append(f"{indent}{head}: {self.text(value)}")
 
-    def collect(self, items: list) -> object:
-        """The field value of a repeated key's items, in file order."""
-        return tuple(items)
-
-    def members(self, value):
-        """A repeated key's items, in canonical order."""
-        return value
-
 
 class _Key:
     __slots__ = ("name", "kind", "need", "field")
@@ -255,17 +247,13 @@ class _Enum(_Kind):
     def text(self, value):
         return self.names[value]
 
-    def ordered(self, values) -> list:
-        """A set of vocabulary values in vocabulary order."""
-        return [value for value in self.names if value in values]
-
 
 def _enum(cls: type[Enum], kind: type[_Enum] = _Enum) -> _Enum:
     return kind({member.value: member for member in cls})
 
 
 class _EnumList(_Enum):
-    """`key: [a, b]`: a non-empty set of vocabulary values."""
+    """`key: [a, b]`: distinct vocabulary values, which the model orders."""
 
     def parse(self, p, key, fields, at):
         p.expect("[")
@@ -274,14 +262,14 @@ class _EnumList(_Enum):
             p.advance()
             values.append(p.enum_member(self.mapping, key.name, values))
         p.expect("]")
-        return frozenset(values)
+        return tuple(values)
 
     def text(self, value):
-        return "[" + ", ".join(self.names[v] for v in self.ordered(value)) + "]"
+        return "[" + ", ".join(self.names[v] for v in value) + "]"
 
 
 class _Features(_Enum):
-    """Repeated `key: token` lines forming a set; before the colon, the
+    """Repeated `key: token` lines, each token once; before the colon, the
     model is asked whether the status allows any."""
 
     opener = None
@@ -291,12 +279,6 @@ class _Features(_Enum):
                 {"presence": fields["presence"], "features": self.names})
         p.expect(":")
         return p.enum_member(self.mapping, key.name, fields[key.field])
-
-    def collect(self, items):
-        return frozenset(items)
-
-    def members(self, value):
-        return self.ordered(value)
 
 
 class _Binding(_Kind):
@@ -652,7 +634,7 @@ class _Parser:
                 items = fields[key.field] = []
                 while (at := self.take(key)) is not None:
                     items.append(kind.parse(self, key, fields, at))
-                fields[key.field] = kind.collect(items)
+                fields[key.field] = tuple(items)
                 continue
             # Testing the word first saves the call for the many optional
             # keys that are left out.
@@ -780,7 +762,7 @@ def _emit_block(lines: list[str], indent: str, block: _Block, obj) -> None:
         kind = key.kind
         value = obj if key.field is None else getattr(obj, key.field)
         if key.need is _REPEATED:
-            for item in kind.members(value):
+            for item in value:
                 kind.emit(lines, indent, key.name, item)
         # Identity first: most defaults are None, and `!=` is slower.
         elif value is not None if kind.default is None else value != kind.default:

@@ -9,8 +9,11 @@ which reads every field but ``MethodDescription.location`` (where it was parsed)
 
 Constructors refuse, with the message the parser reports, a value that
 breaks a rule of the file format; each such rule is checked and worded here
-only. Everything a lint rule covers (empty intermediary requirements,
-missing metric blocks, ...) stays representable and is reported by validate.
+only. A set-valued field (a channel's scenarios, a control protocol's
+features) is a tuple of distinct members in vocabulary order, fixed by the
+constructor from any iterable of members. Everything a lint rule covers
+(empty intermediary requirements, missing metric blocks, ...) stays
+representable and is reported by validate.
 """
 
 from __future__ import annotations
@@ -198,7 +201,7 @@ class ChannelCharacteristic:
 
 @value_class
 class ChannelProperties:
-    scenarios: frozenset[ChannelScenario]
+    scenarios: tuple[ChannelScenario, ...]
     directness: Directness
     bandwidth: ChannelCharacteristic | None = None
     undetectability: ChannelCharacteristic | None = None
@@ -206,6 +209,7 @@ class ChannelProperties:
     cost: ChannelCharacteristic | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "scenarios", _in_order(self.scenarios, ChannelScenario))
         if not self.scenarios:
             raise ValueError("at least one communication scenario is required")
         if any(metric is not None and metric.refers_to_countermeasures
@@ -231,6 +235,19 @@ class ControlFeature(Enum):
     APP_LAYER = "app-layer"
 
 
+_MEMBERS = {vocabulary: tuple(vocabulary) for vocabulary in (ChannelScenario, ControlFeature)}
+
+
+def _in_order(values, vocabulary: type[Enum]) -> tuple:
+    """Each of ``values`` once, in declaration order; a non-member is refused."""
+    values = tuple(values)
+    # Scanned, not hashed: an Enum member's __hash__ runs Python code.
+    ordered = tuple([member for member in _MEMBERS[vocabulary] if member in values])
+    if len(ordered) != len(values) and (strays := [v for v in values if v not in ordered]):
+        raise ValueError(f"{strays[0]!r} is not a {vocabulary.__name__}")
+    return ordered
+
+
 def check_features(presence: Presence, features) -> None:
     if presence is Presence.ABSENT and features:
         raise ValueError("an absent control protocol cannot list features")
@@ -239,10 +256,11 @@ def check_features(presence: Presence, features) -> None:
 @value_class
 class ControlProtocol:
     presence: Presence
-    features: frozenset[ControlFeature] = frozenset()
+    features: tuple[ControlFeature, ...] = ()
     text: str | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "features", _in_order(self.features, ControlFeature))
         check_features(self.presence, self.features)
 
 

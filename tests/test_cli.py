@@ -152,6 +152,11 @@ class TestRenderCommand:
         assert code == 1
         assert "unknown method" in err
 
+    def test_file_without_methods_prints_nothing(self, capsys, tmp_path):
+        empty = tmp_path / "empty.nihd"
+        empty.write_text("# no methods\n", encoding="utf-8")
+        assert run(capsys, ["render", str(empty)]) == (0, "", "")
+
     def test_multiple_methods_separated_by_rule(self, capsys):
         code, out, _ = run(capsys, ["render", str(JOINT_FILE)])
         assert code == 0

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from nihdl import model
+from nihdl import dsl, model
 from nihdl.model import (
     Applicability,
     CountermeasureEntry,
@@ -219,22 +219,23 @@ class TestNormalize:
         assert normalize(base).countermeasures == (a, b)
 
 
+def _channel(scenarios=frozenset({model.ChannelScenario.END_TO_END}), **metrics):
+    fields = {name: model.ChannelCharacteristic(Presence.ABSENT)
+              for name in ("bandwidth", "undetectability", "robustness", "cost")}
+    fields.update(metrics)
+    return model.ChannelProperties(scenarios=scenarios,
+                                   directness=model.Directness(model.DirectnessKind.DIRECT),
+                                   **fields)
+
+
 def _minimal(**overrides):
-    channel = model.ChannelProperties(
-        scenarios=frozenset({model.ChannelScenario.END_TO_END}),
-        directness=model.Directness(model.DirectnessKind.DIRECT),
-        bandwidth=model.ChannelCharacteristic(Presence.ABSENT),
-        undetectability=model.ChannelCharacteristic(Presence.ABSENT),
-        robustness=model.ChannelCharacteristic(Presence.ABSENT),
-        cost=model.ChannelCharacteristic(Presence.ABSENT),
-    )
     fields = dict(
         name="m",
         pattern=model.PatternAssignment(path=PatternPath.from_text("X")),
         carrier=model.CarrierRequirements(presence=Presence.ABSENT),
         sender=model.SenderProcess(),
         receiver=model.ReceiverProcess(),
-        channel=channel,
+        channel=_channel(),
     )
     fields.update(overrides)
     return model.MethodDescription(**fields)
@@ -275,26 +276,12 @@ class TestConstructorInvariants:
         bad = model.ChannelCharacteristic(Presence.FULL, refers_to_countermeasures=True)
         with pytest.raises(ValueError, match="^ref: countermeasures is only allowed on "
                                              "the undetectability metric$"):
-            model.ChannelProperties(
-                scenarios=frozenset({model.ChannelScenario.END_TO_END}),
-                directness=model.Directness(model.DirectnessKind.DIRECT),
-                bandwidth=bad,
-                undetectability=model.ChannelCharacteristic(Presence.ABSENT),
-                robustness=model.ChannelCharacteristic(Presence.ABSENT),
-                cost=model.ChannelCharacteristic(Presence.ABSENT),
-            )
+            _channel(bandwidth=bad)
 
     def test_scenarios_must_be_non_empty(self):
         with pytest.raises(ValueError,
                            match="^at least one communication scenario is required$"):
-            model.ChannelProperties(
-                scenarios=frozenset(),
-                directness=model.Directness(model.DirectnessKind.DIRECT),
-                bandwidth=model.ChannelCharacteristic(Presence.ABSENT),
-                undetectability=model.ChannelCharacteristic(Presence.ABSENT),
-                robustness=model.ChannelCharacteristic(Presence.ABSENT),
-                cost=model.ChannelCharacteristic(Presence.ABSENT),
-            )
+            _channel(scenarios=frozenset())
 
     def test_absent_control_protocol_has_no_features(self):
         with pytest.raises(ValueError,
@@ -303,6 +290,31 @@ class TestConstructorInvariants:
                 presence=Presence.ABSENT,
                 features=frozenset({model.ControlFeature.RELIABILITY}),
             )
+
+    def test_scenarios_and_features_are_held_once_in_vocabulary_order(self):
+        end_to_end, hybrid = model.ChannelScenario.END_TO_END, model.ChannelScenario.HYBRID
+        reliability, app_layer = model.ControlFeature.RELIABILITY, model.ControlFeature.APP_LAYER
+        made = [
+            _minimal(channel=_channel(scenarios),
+                     control_protocol=model.ControlProtocol(Presence.FULL, features))
+            for scenarios, features in (
+                ([hybrid, end_to_end, hybrid], [app_layer, reliability, app_layer]),
+                (frozenset({hybrid, end_to_end}), frozenset({app_layer, reliability})),
+                ((hybrid, end_to_end), (app_layer, reliability)),
+            )
+        ]
+        for method in made:
+            assert method == made[0] and hash(method) == hash(made[0])
+            assert method.channel.scenarios == (end_to_end, hybrid)
+            assert method.control_protocol.features == (reliability, app_layer)
+            doc, diags = dsl.parse_description(dsl.serialize(dsl.Document((method,))))
+            assert diags == [] and doc.methods == (normalize(method),)
+
+    def test_a_string_is_not_a_member(self):
+        with pytest.raises(ValueError, match="^'mitm' is not a ChannelScenario$"):
+            _channel(scenarios=frozenset({"mitm"}))
+        with pytest.raises(ValueError, match="^'reliability' is not a ControlFeature$"):
+            model.ControlProtocol(Presence.FULL, ["reliability"])
 
     def test_justification_must_name_a_path_element(self):
         with pytest.raises(ValueError,
