@@ -6,6 +6,7 @@ import copy
 import dataclasses
 import hashlib
 import importlib
+import inspect
 import os
 import pickle
 import pkgutil
@@ -157,8 +158,24 @@ def test_a_field_cannot_be_assigned_or_deleted():
                 setattr(value, f.name, None)
             with pytest.raises(dataclasses.FrozenInstanceError):
                 delattr(value, f.name)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        method.not_a_field = 1
+    with pytest.raises(dataclasses.FrozenInstanceError, match="^cannot assign to field 'x'$"):
+        method.x = 1
+    with pytest.raises(dataclasses.FrozenInstanceError, match="^cannot delete field 'name'$"):
+        del method.name
+
+    # On a plain subclass only the fields are refused.
+    class Subclass(SmallC):
+        pass
+
+    value = Subclass(PatternPath(("Timing",)))
+    with pytest.raises(dataclasses.FrozenInstanceError, match="^cannot assign to field 'path'$"):
+        value.path = None
+    with pytest.raises(dataclasses.FrozenInstanceError, match="^cannot delete field 'path'$"):
+        del value.path
+    value.note = "kept"
+    assert value.note == "kept"
+    del value.note
+    assert not hasattr(value, "note") and value == Subclass(PatternPath(("Timing",)))
 
 
 def test_copies_replacements_and_dicts_keep_working():
@@ -192,3 +209,31 @@ def test_every_value_class_takes_eq_hash_and_repr_from_the_helper():
                      if getattr(fn, "__code__", None) is not None
                      and fn.__code__.co_filename == "<string>"}
         assert generated == {"__init__", "__setattr__", "__delattr__"}, cls.__qualname__
+
+
+def test_signatures_and_docstrings_are_pinned():
+    # A class without a docstring gets one naming its signature.
+    rows = sorted((cls.__qualname__, str(inspect.signature(cls)), cls.__doc__)
+                  for cls in _value_classes())
+    assert len(rows) == 34
+    unspecified = "<{0}.UNSPECIFIED: 'unspecified'>"
+    sender = ", ".join([
+        f"relation: 'Relation' = {unspecified.format('Relation')}",
+        f"location: 'Location' = {unspecified.format('Location')}",
+        f"data_location: 'Location' = {unspecified.format('Location')}",
+        f"generates_cover: 'Tristate' = {unspecified.format('Tristate')}",
+        "text: 'str | None' = None"])
+    assert str(inspect.signature(model.SenderProcess)) == f"({sender}) -> None"
+    assert model.SenderProcess.__doc__ == f"SenderProcess({sender})"
+    method = ", ".join([
+        "name: 'str'", "pattern: 'PatternAssignment'", "carrier: 'CarrierRequirements'",
+        "sender: 'SenderProcess'", "receiver: 'ReceiverProcess'",
+        "channel: 'ChannelProperties'", "source: 'str | None' = None",
+        "year: 'int | None' = None", "scenario: 'ApplicationScenario | None' = None",
+        "control_protocol: 'ControlProtocol | None' = None",
+        "countermeasures: 'tuple[CountermeasureEntry, ...]' = ()",
+        "warden: 'WardenProfile | None' = None", "location: 'object | None' = None"])
+    assert str(inspect.signature(model.MethodDescription)) == f"({method}) -> None"
+    assert model.MethodDescription.__doc__ == f"MethodDescription({method})"
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "9294e11c9d2203c560b765792bb014d29fa8ac356a79618d8420d7f8a36fffc8")
