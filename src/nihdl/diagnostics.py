@@ -9,8 +9,11 @@ may not. ``value_class`` here makes every value type of the package.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
+import sys
+from dataclasses import (_FIELD_CLASSVAR, _FIELD_INITVAR, MISSING, FrozenInstanceError,
+                         dataclass, fields)
 from enum import Enum
+from inspect import formatannotation
 from operator import attrgetter
 
 
@@ -28,12 +31,34 @@ ONE_LINE = str.maketrans("\t\n\r", "   ")
 
 
 def value_class(cls):
-    """``@dataclass(frozen=True)``, but with ``==``, ``hash`` and ``repr``
-    written once, here, rather than compiled for each class. They read the
-    fields that ``compare`` and ``repr`` select, found once per class."""
-    cls = dataclass(frozen=True, eq=False, repr=False)(cls)
-    compared = [f.name for f in fields(cls) if f.compare]
-    shown = [f.name for f in fields(cls) if f.repr]
+    """``@dataclass(frozen=True)``, but with only ``__init__`` compiled for
+    each class. ``==``, ``hash`` and ``repr`` read the fields that ``compare``
+    and ``repr`` select, found once per class; ``__setattr__`` and
+    ``__delattr__`` refuse a field, and any attribute of the class itself,
+    as a frozen dataclass does. All five are written once, here. A class
+    without a docstring gets the one ``dataclass`` would give it, built from
+    the fields: ``dataclass`` would ask ``inspect`` for the signature. Instances
+    refuse assignment, though ``__dataclass_params__.frozen`` reads False."""
+    undocumented = not cls.__doc__
+    if undocumented:
+        cls.__doc__ = cls.__name__
+    cls = dataclass(init=False, eq=False, repr=False)(cls)
+    every = fields(cls)
+    for f in cls.__dataclass_fields__.values():
+        if f._field_type is not _FIELD_CLASSVAR and (
+                f._field_type is _FIELD_INITVAR or not f.init or f.kw_only
+                or f.default_factory is not MISSING):
+            raise TypeError(f"{cls.__qualname__}.{f.name}: value_class writes no __init__ "
+                            "for init=False, kw_only, default_factory or InitVar")
+    cls.__init__ = _compile_init(cls, every)
+    if undocumented:
+        params = ", ".join(f"{f.name}: {formatannotation(f.type)}"
+                           + ("" if f.default is MISSING else f" = {f.default!r}")
+                           for f in every)
+        cls.__doc__ = f"{cls.__name__}({params})"
+    names = tuple(f.name for f in every)
+    compared = [f.name for f in every if f.compare]
+    shown = [f.name for f in every if f.repr]
     get = attrgetter(*compared) if compared else lambda value: ()
     # attrgetter gives one field bare; == and hash take a tuple of fields.
     key = (lambda value: (get(value),)) if len(compared) == 1 else get
@@ -50,8 +75,39 @@ def value_class(cls):
         values = ", ".join(f"{name}={getattr(self, name)!r}" for name in shown)
         return f"{self.__class__.__qualname__}({values})"
 
+    def __setattr__(self, name, value):
+        if type(self) is cls or name in names:
+            raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        super(cls, self).__setattr__(name, value)
+
+    def __delattr__(self, name):
+        if type(self) is cls or name in names:
+            raise FrozenInstanceError(f"cannot delete field {name!r}")
+        super(cls, self).__delattr__(name)
+
     cls.__eq__, cls.__hash__, cls.__repr__ = __eq__, __hash__, __repr__
+    cls.__setattr__, cls.__delattr__ = __setattr__, __delattr__
     return cls
+
+
+def _compile_init(cls, every):
+    """``__init__(self, <fields>)``, storing each field with ``object.__setattr__``
+    and ending in ``__post_init__()`` if the class has one. Compiled in the
+    class's module, as ``dataclass`` does, so that ``typing.get_type_hints``
+    resolves its annotations there."""
+    params = "".join(f", {f.name}" if f.default is MISSING
+                     else f", {f.name}=_defaults[{f.name!r}]" for f in every)
+    body = [f"  _setattr(self, {f.name!r}, {f.name})" for f in every]
+    if hasattr(cls, "__post_init__"):
+        body.append("  self.__post_init__()")
+    source = "\n".join(["def make(_setattr, _defaults):", f" def __init__(self{params}):",
+                        *(body or ["  pass"]), " return __init__"])
+    namespace = {}
+    exec(source, vars(sys.modules[cls.__module__]), namespace)
+    init = namespace["make"](object.__setattr__, {f.name: f.default for f in every})
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__annotations__ = {f.name: f.type for f in every} | {"return": None}
+    return init
 
 
 @value_class

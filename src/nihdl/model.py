@@ -3,9 +3,11 @@
 A description has three top-level parts: general information (pattern
 assignment, application scenario, carrier requirements), the hiding
 process (sender, receiver, channel properties, optional control
-protocol) and countermeasures. All types are immutable values. The
-dataclasses take ``==``, ``hash`` and ``repr`` from ``diagnostics.value_class``,
-which reads every field but ``MethodDescription.location`` (where it was parsed).
+protocol) and countermeasures. All types are immutable values, made by
+``diagnostics.value_class``: each class compiles only its ``__init__``, and
+takes ``==``, ``hash``, ``repr`` and the refusal to assign or delete a field
+from code written once there. ``==``, ``hash`` and ``repr`` read every field but
+``MethodDescription.location`` (where it was parsed).
 
 Constructors refuse, with the message the parser reports, a value that
 breaks a rule of the file format; each such rule is checked and worded here

@@ -13,6 +13,7 @@ import pkgutil
 import random
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -198,17 +199,42 @@ def _value_classes():
 
 
 def test_every_value_class_takes_eq_hash_and_repr_from_the_helper():
-    # A class made with plain @dataclass(frozen=True) gets generated ones.
+    # A class made with plain @dataclass(frozen=True) gets generated methods,
+    # which dataclasses compiles from source named "<string>".
     classes = list(_value_classes())
     assert len(classes) == 34
     helper = diagnostics.value_class.__code__.co_consts
     for cls in classes:
-        for name in ("__eq__", "__hash__", "__repr__"):
+        for name in ("__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__"):
             assert vars(cls)[name].__code__ in helper, (cls.__qualname__, name)
         generated = {name for name, fn in vars(cls).items()
                      if getattr(fn, "__code__", None) is not None
                      and fn.__code__.co_filename == "<string>"}
-        assert generated == {"__init__", "__setattr__", "__delattr__"}, cls.__qualname__
+        assert generated == {"__init__"}, cls.__qualname__
+
+
+@pytest.mark.parametrize("declaration, field_name", [
+    ("items: list = dataclasses.field(default_factory=list)", "items"),
+    ("_: dataclasses.KW_ONLY\n    late: int = 0", "late"),
+    ("hidden: int = dataclasses.field(default=0, init=False)", "hidden"),
+    ("seed: dataclasses.InitVar[int] = 0", "seed"),
+])
+def test_a_field_feature_without_init_code_is_refused(declaration, field_name):
+    namespace = {"dataclasses": dataclasses, "value_class": diagnostics.value_class}
+    source = f"@value_class\nclass Refused:\n    name: str\n    {declaration}\n"
+    with pytest.raises(TypeError, match=f"^Refused\\.{field_name}: value_class "):
+        exec(source, namespace)
+
+
+def test_a_class_variable_is_not_a_field():
+    @diagnostics.value_class
+    class Counted:
+        limit: typing.ClassVar[int] = 3
+        name: str
+
+    assert Counted("a") == Counted("a") and Counted.limit == 3
+    assert str(inspect.signature(Counted)) == "(name: str) -> None"
+    assert Counted.__doc__ == "Counted(name: str)"
 
 
 def test_signatures_and_docstrings_are_pinned():
