@@ -8,14 +8,15 @@ or CRLF line endings; the serializer emits LF. A line feed or a lone
 carriage return ends a string before its closing quote (E002 at the
 opening quote), so every string that parses can be serialized again.
 
-Tokens are held in three parallel lists, with no object per token: kinds,
-texts and offsets into the normalized text. A kind is a short string:
-the punctuation character itself, or `string`, `integer`, `keyword`,
-`relation` or `end of input`. A string's text is its decoded value; an
-integer stays digits until a year reads it. One regex match yields a key
-and the `:` or `{` after it, still as two tokens, and the parser steps over
-both at once. It walks the lists by index; line and column are worked out
-from an offset only when a location is needed.
+Tokens are the raw texts one `re.split` yields, with no object per token
+and no kind or offset stored. A token's kind follows from its text: empty
+is end of input, a leading `"` a string, punctuation its own kind, three
+characters with `:` in the middle a relation, a leading digit an integer,
+anything else a keyword. So the parser compares texts, and it decodes a
+string only where it reads one. A key and the `:` or `{` after it are two
+tokens, which the parser steps over at once. A token's offset into the
+normalized text is summed from the lengths of the split parts before it,
+and its line and column from the offset, only when a location is needed.
 
 Parsing is total: any input yields either a value or error diagnostics
 with source locations, never an unhandled exception. Diagnostic codes:
@@ -93,63 +94,58 @@ class _Fail(Exception):
         self.diagnostic = diagnostic
 
 
-# One match per token, or per keyword and the `:` or `{` after it on its
-# line, which still yields two tokens: skip blanks, newlines and comments,
-# then take the first alternative that matches; ``lastindex`` is its group
-# (the opener's closes last). A backslash escapes only `"` and `\`. After the
-# skip something always matches (end or bad), so it is never backtracked into.
-_SCAN = re.compile(r"""
-    [ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*
-    (?:
-        ([1n]:[1m](?![A-Za-z0-9:_-]))                            # 1 relation
-      | ([{}\[\]():,])                                            # 2 punctuation
-      | "([^"\\\n\r]*(?:\\(?:["\\]|(?!["\\]))[^"\\\n\r]*)*)"      # 3 string
-      | ([0-9]+)                                                 # 4 integer
-      | ([A-Za-z][A-Za-z0-9-]*)(?:[ \t]*([:{]))?                  # 5 keyword, 6 opener
-      | (\Z)                                                     # 7 end
-      | (.)                                                      # 8 bad
-    )""", re.VERBOSE | re.DOTALL)
+# The token alternatives, shared by the split pattern and the check of its
+# last token. A backslash escapes only `"` and `\`; `1:1x` is 1, :, 1 and x.
+_TOKENS = r"""
+    [1n]:[1m](?![A-Za-z0-9:_-])                             # relation
+  | [{}\[\]():,]                                            # punctuation
+  | "[^"\\\n\r]*(?:\\(?:["\\]|(?!["\\]))[^"\\\n\r]*)*"      # string
+  | [0-9]+                                                  # integer
+  | [A-Za-z][A-Za-z0-9-]*                                   # keyword
+"""
+_TOKEN = re.compile(_TOKENS, re.VERBOSE)
+# Each match is (blanks, newlines and comments)(one raw token): the tokens
+# are ``split(text)[2::3]``, and "" comes before each match. After the skip
+# something always matches, so it is never backtracked into: a token, the
+# end (empty; twice after trailing blanks), or a bad character, which takes
+# the rest of the text and so is the last token before the end.
+_SCAN = re.compile(r"([ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*)(" + _TOKENS + r"|\Z|.+)",
+                   re.VERBOSE | re.DOTALL)
 _ESCAPE = re.compile(r'\\(["\\])')
 _UNESCAPE = operator.itemgetter(1)  # a C callable; a template runs Python per escape
 _END = "end of input"
-# The kind of each group's token: punctuation and an opener are their own.
-_SHAPE_KINDS = (None, "relation", None, "string", "integer", "keyword", None)
 
 
-def _lex(text: str, locate: Callable[[int], SourceLocation]
-         ) -> tuple[list[str], list[str], list[int]]:
-    """The kinds, texts and offsets of the tokens of normalized ``text``,
-    ending in end of input; ``locate`` maps an offset to the
-    SourceLocation of a lexical error."""
-    kinds: list[str] = []
-    texts: list[str] = []
-    offsets: list[int] = []
-    add_kind, add_text, add_offset = kinds.append, texts.append, offsets.append
-    for m in _SCAN.finditer(text):
-        shape = m.lastindex
-        word = m[shape]
-        offset = m.start(shape)
-        if shape == 6:  # the keyword first, then its opener
-            add_kind("keyword")
-            add_text(m[5])
-            add_offset(m.start(5))
-        elif shape == 3:
-            offset -= 1  # at the opening quote
-            if "\\" in word:
-                word = _ESCAPE.sub(_UNESCAPE, word)
-        elif shape == 7:
-            break  # finditer would match the empty end once more
-        elif shape == 8:
-            if word == '"':
-                raise _Fail(Diagnostic("E002", "unterminated string", locate(offset)))
-            raise _Fail(Diagnostic("E001", f"unexpected character {word!r}", locate(offset)))
-        add_kind(_SHAPE_KINDS[shape] or word)
-        add_text(word)
-        add_offset(offset)
-    add_kind(_END)
-    add_text("")
-    add_offset(len(text))  # `\Z` matches only there
-    return kinds, texts, offsets
+def _lex(text: str, locate: Callable[[int], SourceLocation]) -> list[str]:
+    """The split parts of normalized ``text``, whose tokens end in end of
+    input; ``locate`` maps an offset to the SourceLocation of a lexical
+    error, which can only be the last token before the end."""
+    parts = _SCAN.split(text)
+    bad = parts[-5] if len(parts) > 4 else ""  # the token before the last end
+    if bad and not _TOKEN.fullmatch(bad):
+        at = locate(len(text) - len(bad))
+        if bad[0] == '"':
+            raise _Fail(Diagnostic("E002", "unterminated string", at))
+        raise _Fail(Diagnostic("E001", f"unexpected character {bad[0]!r}", at))
+    return parts
+
+
+def _kind(token: str) -> str:
+    """A raw token's kind, told from its text as the module docstring says."""
+    if not token:
+        return _END
+    first = token[0]
+    if first == '"':
+        return "string"
+    if token[1:2] == ":":
+        return "relation"
+    return first if first in "{}[]():," else "integer" if first.isdigit() else "keyword"
+
+
+def _unquote(token: str) -> str:
+    """A string token's value."""
+    text = token[1:-1]
+    return _ESCAPE.sub(_UNESCAPE, text) if "\\" in text else text
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +254,7 @@ class _EnumList(_Enum):
     def parse(self, p, key, fields, at):
         p.expect("[")
         values = [p.enum_member(self.mapping, key.name, ())]
-        while p.kind == ",":
+        while p.text == ",":
             p.advance()
             values.append(p.enum_member(self.mapping, key.name, values))
         p.expect("]")
@@ -294,7 +290,7 @@ class _Binding(_Kind):
             return model.CarrierBinding(kind)
         p.expect("(")
         names = [p.string_value("name")[0]]
-        while p.kind == ",":
+        while p.text == ",":
             p.advance()
             names.append(p.string_value("name")[0])
         close = p.expect(")")
@@ -332,7 +328,7 @@ class _Path(_Kind):
     """`unassigned`, or a quoted pattern path."""
 
     def parse(self, p, key, fields, at):
-        if p.at_keyword(UNASSIGNED.text):
+        if p.text == UNASSIGNED.text:
             p.advance()
             return UNASSIGNED
         text, text_at = p.string_value("pattern path")
@@ -526,26 +522,35 @@ def _unspecified_keys(m: model.MethodDescription) -> list[str]:
 # ---------------------------------------------------------------------------
 
 class _Parser:
-    """Reads the token lists of one text. ``pos`` indexes the current token,
-    and ``kind`` and ``text`` are its kind and text."""
+    """Reads the tokens of one text. ``pos`` indexes the current token, and
+    ``text`` is its raw text."""
 
     def __init__(self, text: str, file_name: str) -> None:
         self.source = text.removeprefix("\ufeff").replace("\r\n", "\n")
         self.file = file_name
         self._located = (1, 0, 0)  # line, its start, offset of the last location
-        self.kinds, self.texts, self.offsets = _lex(self.source, self.locate)
+        self._summed = (0, 0)  # a part index and the offset where that part starts
+        self.parts = _lex(self.source, self.locate)
+        self.texts = self.parts[2::3]
         self.pos = 0
-        self.kind = self.kinds[0]
         self.text = self.texts[0]
 
     def advance(self) -> int:
         """Step past the current token unless it ends the input; return its index."""
         at = self.pos
-        if self.kind != _END:
+        if self.text:
             self.pos = at + 1
-            self.kind = self.kinds[at + 1]
             self.text = self.texts[at + 1]
         return at
+
+    def offset(self, at: int) -> int:
+        """Token ``at``'s offset into the normalized text, summed on from the
+        last token asked for when it is no later."""
+        end = 3 * at + 2  # the parts before token ``at``
+        start, offset = self._summed if self._summed[0] <= end else (0, 0)
+        offset += len("".join(self.parts[start:end]))  # faster than summing lengths
+        self._summed = (end, offset)
+        return offset
 
     def locate(self, offset: int) -> SourceLocation:
         """Line and column of an offset into the normalized text. Methods
@@ -558,12 +563,13 @@ class _Parser:
         return SourceLocation(self.file, line, offset - start + 1)
 
     def loc(self, at: int | None = None) -> SourceLocation:
-        return self.locate(self.offsets[self.pos if at is None else at])
+        return self.locate(self.offset(self.pos if at is None else at))
 
     def describe(self) -> str:
         """The current token as a diagnostic names it; a string shows its quotes."""
-        text = _quote(self.text) if self.kind == "string" else self.text
-        return _END if self.kind == _END else repr(text)
+        kind = _kind(self.text)
+        text = _quote(_unquote(self.text)) if kind == "string" else self.text
+        return _END if kind == _END else repr(text)
 
     def fail(self, code: str, message: str, at: int | None = None) -> None:
         raise _Fail(Diagnostic(code, message, self.loc(at)))
@@ -580,12 +586,9 @@ class _Parser:
     def expect(self, kind: str, what: str | None = None) -> int:
         """Consume a token of ``kind``, which E001 names as ``what`` or
         quoted; return its index."""
-        if self.kind != kind:
+        if _kind(self.text) != kind:
             self.fail("E001", f"expected {what or repr(kind)}, found {self.describe()}")
         return self.advance()
-
-    def at_keyword(self, word: str) -> bool:
-        return self.text == word and self.kind == "keyword"
 
     # -- key sequencing -----------------------------------------------------
 
@@ -596,7 +599,8 @@ class _Parser:
         A key of the block from before ``due`` is out of order (E001); a
         later one, or a token that is not a key, leaves ``due`` missing (E005).
         """
-        kind, text, known = self.kind, self.text, block.known
+        text, known = self.text, block.known
+        kind = _kind(text)
         if kind == _END:
             self.fail("E001", "unexpected end of input")
         if kind == "keyword":
@@ -613,14 +617,14 @@ class _Parser:
     def take(self, key: _Key) -> int | None:
         """Consume ``key``'s word and its kind's opener, if any, when the
         word is next; return the word's index."""
-        if self.text != key.name or self.kind != "keyword":
+        if self.text != key.name:
             return None
         at, opener = self.pos, key.kind.opener
-        if opener and self.kinds[at + 1] != opener:
+        if opener and self.texts[at + 1] != opener:
             self.advance()
             self.expect(opener)
         after = at + 2 if opener else at + 1  # one step over the word and its opener
-        self.pos, self.kind, self.text = after, self.kinds[after], self.texts[after]
+        self.pos, self.text = after, self.texts[after]
         return at
 
     def parse_block(self, block: _Block) -> dict[str, object]:
@@ -647,7 +651,7 @@ class _Parser:
                     fields[key.field] = value
             elif key.need is _REQUIRED:
                 self._surprise(block, consumed, key)
-        if self.kind != "}":
+        if self.text != "}":
             self._surprise(block, consumed, None)
         self.advance()
         return fields
@@ -656,10 +660,10 @@ class _Parser:
 
     def string_value(self, what: str) -> tuple[str, int]:
         at = self.expect("string", what)
-        return self.texts[at], at
+        return _unquote(self.texts[at]), at
 
     def enum_value(self, mapping: dict, what: str):
-        if self.kind in ("keyword", "relation") and self.text in mapping:
+        if self.text in mapping:
             return mapping[self.texts[self.advance()]]
         self.fail("E004", f"unknown enumeration token {self.describe()} for {what}")
 
@@ -676,8 +680,8 @@ class _Parser:
     def parse_document(self) -> Document:
         self._skip_version_header()
         methods = []
-        while self.kind != _END:
-            if not self.at_keyword(_METHOD_WORD):
+        while self.text:
+            if self.text != _METHOD_WORD:
                 self.fail("E001", f"expected {_METHOD_WORD!r}, found {self.describe()}")
             start = self.advance()
             name, name_at = self.string_value("method name")
@@ -688,19 +692,19 @@ class _Parser:
         return Document(methods=tuple(methods), source_file=self.file)
 
     def _skip_version_header(self) -> None:
-        if self.at_keyword("nihdl-version"):
+        if self.text == "nihdl-version":
             self.advance()
             self.expect("integer", "version number")
 
     # -- catalog grammar ----------------------------------------------------
     def parse_catalog_file(self) -> PatternCatalog:
         self._skip_version_header()
-        if not self.at_keyword("catalog"):
+        if self.text != "catalog":
             self.fail("E001", f"expected 'catalog', found {self.describe()}")
         self.advance()
         label = None
-        if self.kind == "string":
-            label = self.texts[self.advance()]
+        if _kind(self.text) == "string":
+            label = _unquote(self.texts[self.advance()])
         self.expect("{")
         roots = self.parse_nodes(depth=1)
         self.expect("}")
@@ -710,7 +714,7 @@ class _Parser:
     def parse_nodes(self, depth: int) -> tuple[PatternNode, ...]:
         nodes: list[PatternNode] = []
         seen: set[str] = set()
-        while self.at_keyword("node"):
+        while self.text == "node":
             if depth > MAX_DEPTH:
                 self.fail("E001", f"catalog nesting deeper than {MAX_DEPTH}")
             self.advance()

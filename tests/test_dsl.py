@@ -263,11 +263,14 @@ _HUGE = "9" * 5000  # more digits than int() reads
     (f'method "x" {{ year: {_HUGE} }}', "E004",
      f"year out of range 1980-2100: {_HUGE}", 1, 20),
     (f"\n {_HUGE}", "E001", f"expected 'method', found '{_HUGE}'", 2, 2),
+    ('method "x" { bogus: 1 } @', "E001", _BAD_AT, 1, 25),
+    ('method "x" {\n  bogus: 1\n}\n"abc', "E002", "unterminated string", 4, 1),
 ], ids=[
     "after-tab", "after-comment", "after-crlf-lines", "after-bom",
     "string-cut-by-newline", "string-cut-by-end", "string-cut-after-escaped-quote",
     "string-cut-by-lone-cr", "string-cut-by-cr-after-backslash",
     "end-of-input", "end-of-input-after-newline", "huge-year", "huge-stray-integer",
+    "bad-character-after-unknown-key", "string-cut-by-end-after-unknown-key",
 ])
 def test_lexer_diagnostic_location(text, code, message, line, column):
     doc, diags = dsl.parse_description(text, "t")
@@ -281,6 +284,17 @@ _KIND_NAMES = {"{": "LBRACE", "}": "RBRACE", "[": "LBRACKET", "]": "RBRACKET",
                "(": "LPAREN", ")": "RPAREN", ":": "COLON", ",": "COMMA",
                "string": "STRING", "integer": "INT", "keyword": "KEYWORD",
                "relation": "RELATION", "end of input": "EOF"}
+
+
+def _token_rows(parser):
+    """(kind, text, offset) of each token through end of input, a string's
+    text decoded, from the raw texts and ``offset`` of ``parser``."""
+    rows = []
+    for at, raw in enumerate(parser.texts):
+        kind = dsl._kind(raw)
+        rows.append((kind, dsl._unquote(raw) if kind == "string" else raw, parser.offset(at)))
+        if kind == dsl._END:
+            return rows
 
 
 @pytest.mark.parametrize("text, tokens", [
@@ -321,11 +335,29 @@ _KIND_NAMES = {"{": "LBRACE", "}": "RBRACE", "[": "LBRACKET", "]": "RBRACKET",
 def test_lexer_tokens(text, tokens):
     parser = dsl._Parser(text, "t")
     rows = []
-    for kind, word, offset in zip(parser.kinds, parser.texts, parser.offsets):
+    for kind, word, offset in _token_rows(parser):
         loc = parser.locate(offset)
         value = int(word) if kind == "integer" else word if kind == "string" else None
         rows.append((_KIND_NAMES[kind], word, loc.line, loc.column, value))
     assert rows == tokens
+
+
+def test_token_offsets_do_not_depend_on_the_order_asked():
+    """Offsets are summed on from the last token asked for: asked in
+    reverse and in shuffled order, each token's is the one asked in order,
+    and the text holds the raw token there."""
+    rng = random.Random(27)
+    for path in sorted(SYNTHETIC_DIR.rglob("*.nih[dc]")):
+        parser = dsl._Parser(path.read_text(encoding="utf-8"), path.name)
+        count = parser.texts.index("") + 1
+        in_order = [parser.offset(at) for at in range(count)]
+        shuffled = list(range(count))
+        rng.shuffle(shuffled)
+        for order in (range(count - 1, -1, -1), shuffled):
+            assert {at: parser.offset(at) for at in order} == dict(enumerate(in_order))
+        assert all(parser.source.startswith(parser.texts[at], offset)
+                   for at, offset in enumerate(in_order))
+        assert in_order[-1] == len(parser.source)
 
 
 # Pieces of random lexer input: every character the token rules treat
@@ -350,7 +382,7 @@ def test_token_stream_of_random_edge_strings_is_pinned():
             for _ in range(rng.randint(1, 16)))
         try:
             parser = dsl._Parser(text, "r")
-            tokens = repr((parser.kinds, parser.texts, parser.offsets))
+            tokens = repr(tuple(map(list, zip(*_token_rows(parser)))))
         except dsl._Fail as failure:
             tokens = failure.diagnostic.render()
         _, diags = dsl.parse_description(text, "r")
@@ -569,13 +601,18 @@ _GROWING_SHAPES = {
     "nested catalog nodes": (dsl.parse_catalog, 'catalog "c" {\n', 'node "a" {\n', ""),
     "a long method name": (dsl.parse_description, 'method "', "a", '" {\n}\n'),
     "comment lines": (dsl.parse_description, "", "# a comment line\n", ""),
+    "a long method body ending in a bad character": (
+        dsl.parse_description,
+        'method "m" {\n  general {\n    pattern {\n      path: "A / B"\n    }\n'
+        '    carrier-requirements {\n      status: full\n',
+        '      condition: "a condition"\n', "@"),
+    "trailing blanks": (dsl.parse_description, 'method "m" {\n', " ", ""),
 }
 
 
 def test_parse_time_is_linear_in_the_input():
     """Each shape parsed at 32k and 256k characters, min of 3: linear time
-    gives a ratio of 8, quadratic 64. The escape shape is linear but reads
-    15-17, its time stepping up once between 128k and 256k."""
+    gives a ratio of 8, quadratic 64."""
     def seconds(parse, head, unit, tail, size):
         text = head + unit * ((size - len(head) - len(tail)) // len(unit)) + tail
         times = []
