@@ -24,7 +24,7 @@ class Severity(Enum):
 
 
 _SEVERITY_BY_PREFIX = {"E": Severity.ERROR, "W": Severity.WARNING, "I": Severity.INFO}
-_CODE_RE = re.compile(r"^[EWI]\d{3}$")
+_CODE_RE = re.compile("[EWI][0-9]{3}")  # fullmatch: `$` passes a final LF, `\d` any digit
 # A tab, line feed or carriage return as one space: a rendered diagnostic,
 # like an index.tsv field, is one line whatever a file name holds.
 ONE_LINE = str.maketrans("\t\n\r", "   ")
@@ -134,7 +134,7 @@ class Diagnostic:
     method_name: str | None = None
 
     def __post_init__(self) -> None:
-        if not _CODE_RE.match(self.code):
+        if not _CODE_RE.fullmatch(self.code):
             raise ValueError(f"malformed diagnostic code {self.code!r}")
 
     @property

@@ -13,10 +13,9 @@ and no kind or offset stored. A token's kind follows from its text: empty
 is end of input, a leading `"` a string, punctuation its own kind, three
 characters with `:` in the middle a relation, a leading digit an integer,
 anything else a keyword. So the parser compares texts, and it decodes a
-string only where it reads one. A key and the `:` or `{` after it are two
-tokens, which the parser steps over at once. A token's offset into the
-normalized text is summed from the lengths of the split parts before it,
-and its line and column from the offset, only when a location is needed.
+string only where it reads one. A token's offset into the normalized text
+is summed from the lengths of the split parts before it, and its line and
+column from the offset, only when a location is needed.
 
 Parsing is total: any input yields either a value or error diagnostics
 with source locations, never an unhandled exception. Diagnostic codes:
@@ -41,6 +40,9 @@ also gives the value a left-out key leaves, which is never written. A
 repeated key may appear any number of times and so is never a duplicate.
 The parser, the serializer and the validator's check for `unspecified`
 values all walk it; it is the only place key order and optionality live.
+A block holds one step per key, walked in order: the parser steps over
+a key and its `:` or `{`, reads a plain enumeration or string in place,
+and leaves any other value, or a wrong token, to its kind to read or report.
 
 Value rules (a non-empty name, a year in range, ...) live in the model,
 except that a string value is single-line, which the serializer's _quote
@@ -370,6 +372,12 @@ class _Block(_Kind):
         self.make = make
         self.keys = keys
         self.known = {key.name: position for position, key in enumerate(keys)}
+        # parse_block's step per key: its word, kind, opener, need and field, then
+        # the vocabulary of a plain enumeration, True for a plain string, else None.
+        self.steps = tuple(
+            (key, key.name, key.kind, key.kind.opener, key.need, key.field,
+             key.kind.mapping if type(key.kind) is _Enum else type(key.kind) is _String or None)
+            for key in keys)
 
     def parse(self, p, key, fields, at):
         block_fields = p.parse_block(self)
@@ -522,8 +530,8 @@ def _unspecified_keys(m: model.MethodDescription) -> list[str]:
 # ---------------------------------------------------------------------------
 
 class _Parser:
-    """Reads the tokens of one text. ``pos`` indexes the current token, and
-    ``text`` is its raw text."""
+    """Reads the tokens of one text. ``pos`` indexes the current token and
+    ``text`` is its raw text; parse_block sets them only to call out or return."""
 
     def __init__(self, text: str, file_name: str) -> None:
         self.source = text.removeprefix("\ufeff").replace("\r\n", "\n")
@@ -592,15 +600,15 @@ class _Parser:
 
     # -- key sequencing -----------------------------------------------------
 
-    def _surprise(self, block: _Block, consumed: set[str], due: _Key | None) -> None:
-        """Report the current token where ``block``'s required key ``due``
-        is missing, or where the block should close when ``due`` is None.
+    def _surprise(self, block: _Block, consumed: set[str], due: _Key | None, at: int) -> None:
+        """Report token ``at`` where ``block``'s required key ``due`` is
+        missing, or where the block should close when ``due`` is None.
 
         A key of the block from before ``due`` is out of order (E001); a
         later one, or a token that is not a key, leaves ``due`` missing (E005).
         """
-        text, known = self.text, block.known
-        kind = _kind(text)
+        self.pos, self.text = at, self.texts[at]
+        text, known, kind = self.text, block.known, _kind(self.text)
         if kind == _END:
             self.fail("E001", "unexpected end of input")
         if kind == "keyword":
@@ -614,58 +622,61 @@ class _Parser:
             self.fail("E005", f"missing required {due.kind.word} {due.name!r}")
         self.fail("E001", f"unexpected token {self.describe()}")
 
-    def take(self, key: _Key) -> int | None:
-        """Consume ``key``'s word and its kind's opener, if any, when the
-        word is next; return the word's index."""
-        if self.text != key.name:
-            return None
-        at, opener = self.pos, key.kind.opener
-        if opener and self.texts[at + 1] != opener:
-            self.advance()
-            self.expect(opener)
-        after = at + 2 if opener else at + 1  # one step over the word and its opener
-        self.pos, self.text = after, self.texts[after]
-        return at
-
     def parse_block(self, block: _Block) -> dict[str, object]:
         """A block's keys in table order, through its closing brace, as
         model fields; a key the file leaves out keeps the model default."""
+        texts, at = self.texts, self.pos
         consumed: set[str] = set()
         fields: dict[str, object] = {}
-        for key in block.keys:
-            kind = key.kind
-            if key.need is _REPEATED:  # never recorded, so never a duplicate
-                items = fields[key.field] = []
-                while (at := self.take(key)) is not None:
-                    items.append(kind.parse(self, key, fields, at))
-                fields[key.field] = tuple(items)
-                continue
-            # Testing the word first saves the call for the many optional
-            # keys that are left out.
-            if self.text == key.name and (at := self.take(key)) is not None:
-                consumed.add(key.name)
-                value = kind.parse(self, key, fields, at)
-                if key.field is None:
+        for key, word, kind, opener, need, field, plain in block.steps:
+            if need is _REPEATED:  # never recorded, so never a duplicate
+                items = fields[field] = []
+            while texts[at] == word:
+                start, at = at, at + 2 if opener else at + 1
+                if opener and texts[at - 1] != opener:
+                    self.pos, self.text = at - 1, texts[at - 1]
+                    self.expect(opener)
+                text = texts[at]
+                # Any other value, or a wrong token, goes to the kind to read or report.
+                if plain is None or (text[:1] != '"' if plain is True else text not in plain):
+                    self.pos, self.text = at, text
+                    value, at = kind.parse(self, key, fields, start), self.pos
+                else:
+                    value, at = _unquote(text) if plain is True else plain[text], at + 1
+                if need is _REPEATED:
+                    items.append(value)
+                    continue
+                consumed.add(word)
+                if field is None:
                     fields.update(value)
                 else:
-                    fields[key.field] = value
-            elif key.need is _REQUIRED:
-                self._surprise(block, consumed, key)
-        if self.text != "}":
-            self._surprise(block, consumed, None)
-        self.advance()
+                    fields[field] = value
+                break
+            else:
+                if need is _REQUIRED:
+                    self._surprise(block, consumed, key, at)
+            if need is _REPEATED:
+                fields[field] = tuple(items)
+        if texts[at] != "}":
+            self._surprise(block, consumed, None, at)
+        self.pos, self.text = at + 1, texts[at + 1]
         return fields
 
     # -- scalar values ------------------------------------------------------
 
     def string_value(self, what: str) -> tuple[str, int]:
-        at = self.expect("string", what)
-        return _unquote(self.texts[at]), at
+        at, text = self.pos, self.text
+        if text[:1] != '"':
+            self.fail("E001", f"expected {what}, found {self.describe()}")
+        self.pos, self.text = at + 1, self.texts[at + 1]
+        return _unquote(text), at
 
     def enum_value(self, mapping: dict, what: str):
-        if self.text in mapping:
-            return mapping[self.texts[self.advance()]]
-        self.fail("E004", f"unknown enumeration token {self.describe()} for {what}")
+        at, text = self.pos, self.text
+        if text not in mapping:
+            self.fail("E004", f"unknown enumeration token {self.describe()} for {what}")
+        self.pos, self.text = at + 1, self.texts[at + 1]
+        return mapping[text]
 
     def enum_member(self, mapping: dict, what: str, seen):
         """An enumeration value that is not in ``seen`` yet."""

@@ -34,9 +34,9 @@ DESCRIPTIONS_DIR_NAME = "descriptions"
 INDEX_FILE_NAME = "index.tsv"
 
 INDEX_HEADER = ("file", "method", "source", "year", "pattern", "score")
-# A file name byte that is not UTF-8 comes from ``iterdir`` as a lone
-# surrogate (``surrogateescape``); the index writes it as U+FFFD.
-_UNDECODABLE_BYTES = dict.fromkeys(range(0xDC80, 0xDD00), "\ufffd")
+# A file name byte that is not UTF-8 comes from ``iterdir`` as a lone surrogate
+# (``surrogateescape``): written as U+FFFD, and a tab, LF or CR as one space.
+_FILE_FIELD = {**dict.fromkeys(range(0xDC80, 0xDD00), "\ufffd"), **ONE_LINE}
 
 
 class StoreError(Exception):
@@ -170,18 +170,18 @@ def write_index(
     methods = []
     for document in documents:
         relative = Path(document.source_file).relative_to(corpus.root)
+        file = relative.as_posix().translate(_FILE_FIELD)
         for method in document.methods:
             methods.append(method)
             score = completeness(method).aggregate
-            fields = (
-                relative.as_posix().translate(_UNDECODABLE_BYTES),
-                method.name,
-                method.source if method.source is not None else "-",
-                str(method.year) if method.year is not None else "-",
-                method.pattern.path.text,
+            rows.append((
+                file,
+                method.name.translate(ONE_LINE),
+                method.source.translate(ONE_LINE) if method.source is not None else "-",
+                str(method.year) if method.year is not None else "-",  # digits only
+                method.pattern.path.text.translate(ONE_LINE),
                 f"{float(score):.3f}",
-            )
-            rows.append(tuple(field.translate(ONE_LINE) for field in fields))
+            ))
     _, _, resolution = pattern_histogram(methods, catalog)
     lines = ["\t".join(INDEX_HEADER)]
     lines.extend("\t".join(row) for row in rows)

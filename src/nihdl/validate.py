@@ -67,6 +67,11 @@ def validate(
     """
     if catalog.is_empty:
         raise ValueError("catalog has no roots; cannot classify against it")
+    return sorted(_findings(d, catalog, mode), key=sort_key)
+
+
+def _findings(d: model.MethodDescription, catalog: PatternCatalog, mode: ValidationMode):
+    """``validate``'s findings, unsorted, for a catalog with roots."""
     diags: list[Diagnostic] = []
 
     def report(code: str, message: str) -> None:
@@ -142,8 +147,6 @@ def validate(
         and robustness.presence is model.Presence.ABSENT
     ):
         report("I300", "bandwidth is quantified but robustness is absent")
-
-    diags.sort(key=sort_key)
     return diags
 
 
@@ -167,7 +170,7 @@ def validate_document(
     diags: list[Diagnostic] = []
     seen: dict[str, list[model.MethodDescription]] = {}
     for method in doc.methods:
-        diags.extend(validate(method, catalog, mode))
+        diags.extend(_findings(method, catalog, mode))
         seen.setdefault(method.name, []).append(method)
     for name, methods in seen.items():
         if len(methods) > 1:

@@ -544,6 +544,50 @@ def test_key_sequencing_golden():
     assert "\n".join(rendered) + "\n" == golden
 
 
+def _plain_value_mutants():
+    """Each `key: value` line whose key the block table reads as a plain
+    enumeration or string, in both fixtures, with its value replaced by a
+    foreign keyword, by a token of the wrong kind and by `}`, and the text
+    cut off right after the colon; each yielded with a label."""
+    for path in (GAP_FILE, GOLDEN / "dhcp_options.canonical.nihd"):
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        blocks = []  # the blocks open at the line
+        for i, line in enumerate(lines):
+            words = line.split()
+            if words[0] == "method":
+                blocks.append(dsl._METHOD)
+                continue
+            if words == ["}"]:
+                blocks.pop()
+                continue
+            key = next(k for k in blocks[-1].keys if k.name == words[0].rstrip(":"))
+            if words[-1] == "{":
+                blocks.append(key.kind)
+                continue
+            if type(key.kind) not in (dsl._Enum, dsl._String):
+                continue
+            head = line[:line.index(":") + 1]
+            wrong = "7" if type(key.kind) is dsl._String else f'"{words[1]}"'
+            where = f"{path.name}:{i + 1} {key.name}"
+            before, after = "".join(lines[:i]), "".join(lines[i + 1:])
+            for case, value in (("foreign", "method"), ("kind", wrong), ("brace", "}")):
+                yield f"{where} {case}", f"{before}{head} {value}\n{after}"
+            yield f"{where} cut", before + head
+
+
+def test_plain_value_diagnostics_golden():
+    """The diagnostic at every plain enumeration or string value, pinned
+    for values of a foreign keyword, of the wrong kind, a closing brace, or
+    an end of input."""
+    rendered = []
+    for label, text in _plain_value_mutants():
+        doc, diags = dsl.parse_description(text, "m")
+        assert doc is None, label
+        rendered.extend(f"{label}: {d.render()}" for d in diags)
+    golden = (GOLDEN / "plain_values.txt").read_text(encoding="utf-8")
+    assert "\n".join(rendered) + "\n" == golden
+
+
 class TestRoundTripProperty:
     def test_random_documents(self):
         rng = random.Random(2024)
@@ -607,6 +651,10 @@ _GROWING_SHAPES = {
         '    carrier-requirements {\n      status: full\n',
         '      condition: "a condition"\n', "@"),
     "trailing blanks": (dsl.parse_description, 'method "m" {\n', " ", ""),
+    "many countermeasure entries": (
+        dsl.parse_description, GAP_FILE.read_text(encoding="utf-8").split("    entry {")[0],
+        "    entry {\n      type: detection\n      applicability: applicable\n"
+        "      evaluated: true\n    }\n", "  }\n}\n"),
 }
 
 

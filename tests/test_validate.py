@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import re
 
 import pytest
 
@@ -259,6 +260,10 @@ def test_diagnostic_values_refuse_a_bad_location_or_code():
         SourceLocation("f", 0, 1)
     with pytest.raises(ValueError, match="^malformed diagnostic code 'X1'$"):
         Diagnostic("X1", "m")
+    # A code is a letter and three ASCII digits, with nothing after them.
+    for code in ("E001\n", "E\u0661\u0662\u0663"):
+        with pytest.raises(ValueError, match=re.escape(f"malformed diagnostic code {code!r}")):
+            Diagnostic(code, "m")
 
 
 class TestDocumentLevel:
