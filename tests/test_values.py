@@ -263,3 +263,30 @@ def test_signatures_and_docstrings_are_pinned():
     assert model.MethodDescription.__doc__ == f"MethodDescription({method})"
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
         "9294e11c9d2203c560b765792bb014d29fa8ac356a79618d8420d7f8a36fffc8")
+
+
+def _metadata_row(cls):
+    """What ``dataclasses`` reports of ``cls``: each field's settings, the
+    class's parameters and match arguments, and whether it is a dataclass."""
+    params = cls.__dataclass_params__
+    instance = object.__new__(cls)
+    return (
+        cls.__module__, cls.__qualname__,
+        [(f.name, f.type, "MISSING" if f.default is dataclasses.MISSING else repr(f.default),
+          f.default_factory is not dataclasses.MISSING, f.init, f.repr, f.hash, f.compare,
+          f.kw_only, dict(f.metadata)) for f in dataclasses.fields(cls)],
+        [(name, getattr(params, name))
+         for name in ("init", "repr", "eq", "order", "unsafe_hash", "frozen")],
+        cls.__match_args__,
+        dataclasses.is_dataclass(cls), dataclasses.is_dataclass(instance),
+    )
+
+
+def test_dataclass_metadata_is_pinned():
+    # dataclasses.fields, replace and asdict, and perfbench's canonical(),
+    # read this metadata, however value_class makes it.
+    rows = sorted(_metadata_row(cls) for cls in _value_classes())
+    assert len(rows) == 34
+    assert sum(len(row[2]) for row in rows) == 108
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "bf532a89227c7403c3a79cb18e641253bcfaced91e7e316945dbc9eb7412e371")
