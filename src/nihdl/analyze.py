@@ -12,10 +12,9 @@ is order independent, so results are deterministic for a given corpus.
 
 from __future__ import annotations
 
-from dataclasses import field
 from fractions import Fraction
 
-from .diagnostics import Diagnostic, value_class
+from .diagnostics import Diagnostic, field, value_class
 from .model import (
     CoverageRow,
     Directness,

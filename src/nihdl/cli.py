@@ -56,10 +56,12 @@ def _usage_error(message: str) -> NoReturn:
 def _print_diagnostics(diags: Iterable[Diagnostic], status: int = EXIT_OK) -> int:
     """Write diagnostics to stderr; return ``status`` raised to what they
     call for: 2 for a file that cannot be read (E007), 1 for any other error."""
+    lines = []
     for diag in diags:
-        print(diag.render(), file=sys.stderr)
+        lines.append(f"{diag.render()}\n")
         if diag.severity is Severity.ERROR:
             status = max(status, EXIT_USAGE if diag.code == "E007" else EXIT_DIAGNOSTICS)
+    sys.stderr.write("".join(lines))  # one write: stderr flushes at each line feed
     return status
 
 

@@ -3,17 +3,15 @@
 Every finding carries a stable code whose first letter determines its
 severity: E = error, W = warning, I = info. Parse-time findings always
 carry a source location; findings computed on hand-constructed values
-may not. ``value_class`` here makes every value type of the package.
+may not. ``value_class`` and ``field`` here make every value type of the
+package; ``dataclasses`` is imported only when its metadata is first read.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from dataclasses import (_FIELD_CLASSVAR, _FIELD_INITVAR, MISSING, FrozenInstanceError,
-                         dataclass, fields)
 from enum import Enum
-from inspect import formatannotation
 from operator import attrgetter
 
 
@@ -28,35 +26,68 @@ _CODE_RE = re.compile("[EWI][0-9]{3}")  # fullmatch: `$` passes a final LF, `\d`
 # A tab, line feed or carriage return as one space: a rendered diagnostic,
 # like an index.tsv field, is one line whatever a file name holds.
 ONE_LINE = str.maketrans("\t\n\r", "   ")
+_NO_DEFAULT = object()
+
+
+def one_line(text: str) -> str:
+    """``text.translate(ONE_LINE)``, which looks up every character, for text that needs it."""
+    return text.translate(ONE_LINE) if "\t" in text or "\n" in text or "\r" in text else text
+
+
+class field:
+    """``dataclasses.field`` for a value class: whether ``==`` and ``repr`` read a field."""
+    def __init__(self, default, *, compare=True, repr=True):
+        self.default, self.compare, self.repr = default, compare, repr
 
 
 def value_class(cls):
-    """``@dataclass(frozen=True)``, but with only ``__init__`` compiled for
-    each class. ``==``, ``hash`` and ``repr`` read the fields that ``compare``
-    and ``repr`` select, found once per class; ``__setattr__`` and
-    ``__delattr__`` refuse a field, and any attribute of the class itself,
-    as a frozen dataclass does. All five are written once, here. A class
-    without a docstring gets the one ``dataclass`` would give it, built from
-    the fields: ``dataclass`` would ask ``inspect`` for the signature. Instances
-    refuse assignment, though ``__dataclass_params__.frozen`` reads False."""
-    undocumented = not cls.__doc__
-    if undocumented:
-        cls.__doc__ = cls.__name__
-    cls = dataclass(init=False, eq=False, repr=False)(cls)
-    every = fields(cls)
-    for f in cls.__dataclass_fields__.values():
-        if f._field_type is not _FIELD_CLASSVAR and (
-                f._field_type is _FIELD_INITVAR or not f.init or f.kw_only
-                or f.default_factory is not MISSING):
-            raise TypeError(f"{cls.__qualname__}.{f.name}: value_class writes no __init__ "
+    """``@dataclass(frozen=True)`` without ``dataclasses``, with only ``__init__``
+    compiled for each class. The fields are those of value-class bases, then
+    the class's own annotations but a ``ClassVar``, as in a dataclass. ``==``,
+    ``hash`` and ``repr`` read the fields that ``compare`` and ``repr`` select;
+    ``__setattr__`` and ``__delattr__`` refuse a field, and any attribute of
+    the class itself, as a frozen dataclass does. All five are written once,
+    here. A class without a docstring gets the one ``dataclass`` would give
+    it. Instances refuse assignment, though ``__dataclass_params__.frozen``
+    (made on first read, see ``_Metadata``) reads False."""
+    found = {name: f for base in reversed(cls.__mro__[1:])
+             for name, f in vars(base).get("_value_fields", {}).items()}
+    # A feature that value_class writes no code for is asked for with an object
+    # of dataclasses or typing, so there is none while that module is unloaded.
+    dc, typing = sys.modules.get("dataclasses"), sys.modules.get("typing")
+    namespace, keyword_only = vars(sys.modules[cls.__module__]), False
+    for name, annotation in vars(cls).get("__annotations__", {}).items():
+        head = annotation
+        if isinstance(annotation, str):  # resolved as dataclass does: the same fields
+            owner, _, head = annotation.partition("[")[0].strip().rpartition(".")
+            head = getattr(namespace.get(owner), head, None) if owner else namespace.get(head)
+        if typing and typing.ClassVar in (head, getattr(head, "__origin__", None)):
+            continue
+        if dc and head is dc.KW_ONLY:
+            keyword_only = True
+            continue
+        default = getattr(cls, name, _NO_DEFAULT)
+        if dc and (keyword_only or dc.InitVar in (head, type(head)) or isinstance(default, dc.Field)):
+            raise TypeError(f"{cls.__qualname__}.{name}: value_class writes no __init__ "
                             "for init=False, kw_only, default_factory or InitVar")
+        found[name] = f = default if isinstance(default, field) else field(default)
+        f.name, f.type = name, annotation
+        if f is default:
+            setattr(cls, name, f.default)
+    cls._value_fields, every, names = found, list(found.values()), tuple(found)
     cls.__init__ = _compile_init(cls, every)
-    if undocumented:
+    if not cls.__doc__:
+        if all(isinstance(f.type, str) for f in every):
+            formatannotation = repr  # as inspect.formatannotation writes a string
+        else:
+            from inspect import formatannotation
         params = ", ".join(f"{f.name}: {formatannotation(f.type)}"
-                           + ("" if f.default is MISSING else f" = {f.default!r}")
+                           + ("" if f.default is _NO_DEFAULT else f" = {f.default!r}")
                            for f in every)
         cls.__doc__ = f"{cls.__name__}({params})"
-    names = tuple(f.name for f in every)
+    cls.__match_args__ = vars(cls).get("__match_args__", names)
+    cls.__dataclass_fields__ = _Metadata(cls, "__dataclass_fields__")
+    cls.__dataclass_params__ = _Metadata(cls, "__dataclass_params__")
     compared = [f.name for f in every if f.compare]
     shown = [f.name for f in every if f.repr]
     get = attrgetter(*compared) if compared else lambda value: ()
@@ -77,11 +108,13 @@ def value_class(cls):
 
     def __setattr__(self, name, value):
         if type(self) is cls or name in names:
+            from dataclasses import FrozenInstanceError
             raise FrozenInstanceError(f"cannot assign to field {name!r}")
         super(cls, self).__setattr__(name, value)
 
     def __delattr__(self, name):
         if type(self) is cls or name in names:
+            from dataclasses import FrozenInstanceError
             raise FrozenInstanceError(f"cannot delete field {name!r}")
         super(cls, self).__delattr__(name)
 
@@ -90,12 +123,26 @@ def value_class(cls):
     return cls
 
 
+class _Metadata:
+    """``__dataclass_fields__`` or ``__dataclass_params__`` of a value class. The first
+    read of either has ``dataclass(init=False, eq=False, repr=False)`` replace both."""
+    def __init__(self, cls, name):
+        self.cls, self.name = cls, name
+
+    def __get__(self, instance, owner):
+        from dataclasses import dataclass
+        made = dataclass(init=False, eq=False, repr=False)(self.cls).__dataclass_fields__
+        for name, f in self.cls._value_fields.items():
+            made[name].compare, made[name].repr = f.compare, f.repr
+        return vars(self.cls)[self.name]
+
+
 def _compile_init(cls, every):
     """``__init__(self, <fields>)``, storing each field with ``object.__setattr__``
     and ending in ``__post_init__()`` if the class has one. Compiled in the
     class's module, as ``dataclass`` does, so that ``typing.get_type_hints``
     resolves its annotations there."""
-    params = "".join(f", {f.name}" if f.default is MISSING
+    params = "".join(f", {f.name}" if f.default is _NO_DEFAULT
                      else f", {f.name}=_defaults[{f.name!r}]" for f in every)
     body = [f"  _setattr(self, {f.name!r}, {f.name})" for f in every]
     if hasattr(cls, "__post_init__"):
@@ -153,7 +200,7 @@ class Diagnostic:
         if self.method_name is not None:
             parts.append(f"[{self.method_name}]")
         parts.append(self.message)
-        return " ".join(parts).translate(ONE_LINE)
+        return one_line(" ".join(parts))
 
 
 def sort_key(diag: Diagnostic) -> tuple:

@@ -57,11 +57,10 @@ from __future__ import annotations
 import operator
 import re
 from collections.abc import Callable
-from dataclasses import field
 from enum import Enum
 
 from . import model
-from .diagnostics import Diagnostic, SourceLocation, value_class
+from .diagnostics import Diagnostic, SourceLocation, field, value_class
 from .taxonomy import (
     MAX_DEPTH,
     InvalidNameError,

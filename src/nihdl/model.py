@@ -6,8 +6,9 @@ process (sender, receiver, channel properties, optional control
 protocol) and countermeasures. All types are immutable values, made by
 ``diagnostics.value_class``: each class compiles only its ``__init__``, and
 takes ``==``, ``hash``, ``repr`` and the refusal to assign or delete a field
-from code written once there. ``==``, ``hash`` and ``repr`` read every field but
-``MethodDescription.location`` (where it was parsed).
+from code written once there. They are dataclasses to ``dataclasses.fields``,
+``replace`` and ``asdict``, but nothing here imports that module. ``==``,
+``hash`` and ``repr`` read every field but ``MethodDescription.location``.
 
 Constructors refuse, with the message the parser reports, a value that
 breaks a rule of the file format; each such rule is checked and worded here
@@ -20,11 +21,9 @@ representable and is reported by validate.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import field
 from enum import Enum, IntEnum
 
-from .diagnostics import value_class
+from .diagnostics import field, value_class
 from .taxonomy import PatternPath
 
 
@@ -415,5 +414,7 @@ def normalize(d: MethodDescription) -> MethodDescription:
         justifications = tuple(
             sorted(pattern.justifications, key=lambda j: position[j.element])
         )
-        pattern = dataclasses.replace(pattern, justifications=justifications)
-    return dataclasses.replace(d, countermeasures=entries, pattern=pattern)
+        pattern = PatternAssignment(pattern.path, justifications)
+    return MethodDescription(d.name, pattern, d.carrier, d.sender, d.receiver, d.channel,
+                             d.source, d.year, d.scenario, d.control_protocol, entries,
+                             d.warden, d.location)

@@ -26,7 +26,7 @@ import stat
 from pathlib import Path
 
 from . import dsl
-from .diagnostics import ONE_LINE, Diagnostic, value_class
+from .diagnostics import ONE_LINE, Diagnostic, one_line, value_class
 from .taxonomy import PatternCatalog
 
 CATALOG_FILE_NAME = "catalog.nihc"
@@ -176,10 +176,10 @@ def write_index(
             score = completeness(method).aggregate
             rows.append((
                 file,
-                method.name.translate(ONE_LINE),
-                method.source.translate(ONE_LINE) if method.source is not None else "-",
+                one_line(method.name),
+                one_line(method.source) if method.source is not None else "-",
                 str(method.year) if method.year is not None else "-",  # digits only
-                method.pattern.path.text.translate(ONE_LINE),
+                one_line(method.pattern.path.text),
                 f"{float(score):.3f}",
             ))
     _, _, resolution = pattern_histogram(methods, catalog)

@@ -101,6 +101,32 @@ def test_stats_loads_analyze_when_it_runs():
     assert '"total": 131' in output
 
 
+# What importing dataclasses costs: it imports inspect, which imports these.
+DATACLASS_MACHINERY = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+
+def test_validate_and_stats_load_neither_dataclasses_nor_inspect():
+    files = sorted(str(p) for p in (SYNTHETIC_DIR / "descriptions").glob("*.nihd"))
+    added, output = _fresh(
+        "import nihdl.cli",
+        "cli = nihdl.cli",
+        f"cli.main(['validate', '--catalog', {str(SYNTHETIC_DIR / 'catalog.nihc')!r}, *{files!r}])",
+        f"cli.main(['stats', {str(SYNTHETIC_DIR)!r}, '--format', 'json'])")
+    assert {"nihdl.cli", "nihdl.analyze"} <= added
+    assert added & DATACLASS_MACHINERY == set()
+    assert '"total": 131' in output
+
+
+def test_dataclass_fields_work_as_the_first_touch_of_a_value_class():
+    added, output = _fresh(
+        "import dataclasses, nihdl.model",
+        "print(*(f.name for f in dataclasses.fields(nihdl.model.MethodDescription)))")
+    assert "dataclasses" in added
+    assert output.split() == [
+        "name", "pattern", "carrier", "sender", "receiver", "channel", "source", "year",
+        "scenario", "control_protocol", "countermeasures", "warden", "location"]
+
+
 def test_star_import_binds_the_exports_and_the_submodules():
     _, output = _fresh("namespace = {}", "exec('from nihdl import *', namespace)",
                        "print(*sorted(set(namespace) - {'__builtins__'}))")
