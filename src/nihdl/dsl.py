@@ -40,9 +40,9 @@ also gives the value a left-out key leaves, which is never written. A
 repeated key may appear any number of times and so is never a duplicate.
 The parser, the serializer and the validator's check for `unspecified`
 values all walk it; it is the only place key order and optionality live.
-A block holds one step per key, walked in order: the parser steps over
-a key and its `:` or `{`, reads a plain enumeration or string in place,
-and leaves any other value, or a wrong token, to its kind to read or report.
+A block holds one step per key, walked in order: the parser steps over a
+key and its `:` or `{`, reads a nested block, plain enumeration or string
+in place, and leaves any other value, or a wrong token, to its kind.
 
 Value rules (a non-empty name, a year in range, ...) live in the model,
 except that a string value is single-line, which the serializer's _quote
@@ -97,10 +97,13 @@ class _Fail(Exception):
 
 # The token alternatives, shared by the split pattern and the check of its
 # last token. A backslash escapes only `"` and `\`; `1:1x` is 1, :, 1 and x.
+# Keywords, the most common token, are tried early; only a relation (`n:1`)
+# may also start with a letter, so a keyword starting with `n` is tried last.
 _TOKENS = r"""
-    [1n]:[1m](?![A-Za-z0-9:_-])                             # relation
-  | [{}\[\]():,]                                            # punctuation
+    [{}\[\]():,]                                            # punctuation
+  | [A-Za-mo-z][A-Za-z0-9-]*                                # keyword, not n...
   | "[^"\\\n\r]*(?:\\(?:["\\]|(?!["\\]))[^"\\\n\r]*)*"      # string
+  | [1n]:[1m](?![A-Za-z0-9:_-])                             # relation
   | [0-9]+                                                  # integer
   | [A-Za-z][A-Za-z0-9-]*                                   # keyword
 """
@@ -371,18 +374,13 @@ class _Block(_Kind):
         self.make = make
         self.keys = keys
         self.known = {key.name: position for position, key in enumerate(keys)}
-        # parse_block's step per key: its word, kind, opener, need and field, then
-        # the vocabulary of a plain enumeration, True for a plain string, else None.
+        # parse_block's step per key: its word, kind, opener, need, field, and what it reads in
+        # place: a plain enum's vocabulary, True for a string, False for a block, else None.
         self.steps = tuple(
             (key, key.name, key.kind, key.kind.opener, key.need, key.field,
-             key.kind.mapping if type(key.kind) is _Enum else type(key.kind) is _String or None)
+             key.kind.mapping if type(key.kind) is _Enum else True if type(key.kind) is _String
+             else False if isinstance(key.kind, _Block) else None)
             for key in keys)
-
-    def parse(self, p, key, fields, at):
-        block_fields = p.parse_block(self)
-        if self.make is None:
-            return block_fields
-        return p.build("E005", at, self.make, block_fields)
 
     def emit(self, lines, indent, head, value):
         lines.append(f"{indent}{head} {{")
@@ -530,7 +528,7 @@ def _unspecified_keys(m: model.MethodDescription) -> list[str]:
 
 class _Parser:
     """Reads the tokens of one text. ``pos`` indexes the current token and
-    ``text`` is its raw text; parse_block sets them only to call out or return."""
+    ``text`` is its raw text; parse_block sets them only to call out to a kind."""
 
     def __init__(self, text: str, file_name: str) -> None:
         self.source = text.removeprefix("\ufeff").replace("\r\n", "\n")
@@ -599,11 +597,13 @@ class _Parser:
 
     # -- key sequencing -----------------------------------------------------
 
-    def _surprise(self, block: _Block, consumed: set[str], due: _Key | None, at: int) -> None:
+    def _surprise(self, block: _Block, fields: dict, due: _Key | None, at: int) -> None:
         """Report token ``at`` where ``block``'s required key ``due`` is
         missing, or where the block should close when ``due`` is None.
 
-        A key of the block from before ``due`` is out of order (E001); a
+        A key read already is a duplicate (E003): a required one before ``due``
+        (parsing stops at the first missing) or an optional one whose field is
+        in ``fields``. Another key from before ``due`` is out of order (E001); a
         later one, or a token that is not a key, leaves ``due`` missing (E005).
         """
         self.pos, self.text = at, self.texts[at]
@@ -611,24 +611,25 @@ class _Parser:
         if kind == _END:
             self.fail("E001", "unexpected end of input")
         if kind == "keyword":
-            if text in consumed:
-                self.fail("E003", f"duplicate key {text!r} in block")
             if text not in known:
                 self.fail("E001", f"unknown key {text!r}")
-            if due is None or known[text] < known[due.name]:
+            key, early = block.keys[known[text]], due is None or known[text] < known[due.name]
+            if early and key.need is _REQUIRED or key.need is _OPTIONAL and key.field in fields:
+                self.fail("E003", f"duplicate key {text!r} in block")
+            if early:
                 self.fail("E001", f"key {text!r} out of canonical order")
         if due is not None:
             self.fail("E005", f"missing required {due.kind.word} {due.name!r}")
         self.fail("E001", f"unexpected token {self.describe()}")
 
-    def parse_block(self, block: _Block) -> dict[str, object]:
-        """A block's keys in table order, through its closing brace, as
-        model fields; a key the file leaves out keeps the model default."""
-        texts, at = self.texts, self.pos
-        consumed: set[str] = set()
+    def parse_block(self, block: _Block, at: int) -> tuple[dict[str, object], int]:
+        """A block's keys in table order from token ``at``, as model fields, and
+        the index after its closing brace; a key the file leaves out keeps the
+        model default. A nested block's model refusal is E005 at its key."""
+        texts = self.texts
         fields: dict[str, object] = {}
         for key, word, kind, opener, need, field, plain in block.steps:
-            if need is _REPEATED:  # never recorded, so never a duplicate
+            if need is _REPEATED:
                 items = fields[field] = []
             while texts[at] == word:
                 start, at = at, at + 2 if opener else at + 1
@@ -636,8 +637,14 @@ class _Parser:
                     self.pos, self.text = at - 1, texts[at - 1]
                     self.expect(opener)
                 text = texts[at]
+                if plain is False:
+                    value, at = self.parse_block(kind, at)
+                    try:
+                        value = value if kind.make is None else kind.make(**value)
+                    except (ValueError, TaxonomyError) as exc:
+                        self.fail("E005", str(exc), start)
                 # Any other value, or a wrong token, goes to the kind to read or report.
-                if plain is None or (text[:1] != '"' if plain is True else text not in plain):
+                elif plain is None or (text[:1] != '"' if plain is True else text not in plain):
                     self.pos, self.text = at, text
                     value, at = kind.parse(self, key, fields, start), self.pos
                 else:
@@ -645,7 +652,6 @@ class _Parser:
                 if need is _REPEATED:
                     items.append(value)
                     continue
-                consumed.add(word)
                 if field is None:
                     fields.update(value)
                 else:
@@ -653,13 +659,12 @@ class _Parser:
                 break
             else:
                 if need is _REQUIRED:
-                    self._surprise(block, consumed, key, at)
+                    self._surprise(block, fields, key, at)
             if need is _REPEATED:
                 fields[field] = tuple(items)
         if texts[at] != "}":
-            self._surprise(block, consumed, None, at)
-        self.pos, self.text = at + 1, texts[at + 1]
-        return fields
+            self._surprise(block, fields, None, at)
+        return fields, at + 1
 
     # -- scalar values ------------------------------------------------------
 
@@ -695,8 +700,8 @@ class _Parser:
                 self.fail("E001", f"expected {_METHOD_WORD!r}, found {self.describe()}")
             start = self.advance()
             name, name_at = self.string_value("method name")
-            self.expect("{")
-            fields = self.parse_block(_METHOD)
+            fields, at = self.parse_block(_METHOD, self.expect("{") + 1)
+            self.pos, self.text = at, self.texts[at]
             fields.update(name=name, location=self.loc(start))
             methods.append(self.build("E004", name_at, _METHOD.make, fields))
         return Document(methods=tuple(methods), source_file=self.file)

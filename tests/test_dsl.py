@@ -327,11 +327,27 @@ def _token_rows(parser):
                    ("EOF", "", 1, 10, None)]),
     (r'"a\"b":', [("STRING", 'a"b', 1, 1, 'a"b'), ("COLON", ":", 1, 7, None),
                   ("EOF", "", 1, 8, None)]),
+    # Keywords not starting with `n` are tried before relations, the rest after.
+    ("n:m", [("RELATION", "n:m", 1, 1, None), ("EOF", "", 1, 4, None)]),
+    ("n:1", [("RELATION", "n:1", 1, 1, None), ("EOF", "", 1, 4, None)]),
+    ("n:mx", [("KEYWORD", "n", 1, 1, None), ("COLON", ":", 1, 2, None),
+              ("KEYWORD", "mx", 1, 3, None), ("EOF", "", 1, 5, None)]),
+    ("nm:1", [("KEYWORD", "nm", 1, 1, None), ("COLON", ":", 1, 3, None),
+              ("INT", "1", 1, 4, 1), ("EOF", "", 1, 5, None)]),
+    ("node not-applicable", [("KEYWORD", "node", 1, 1, None),
+                             ("KEYWORD", "not-applicable", 1, 6, None),
+                             ("EOF", "", 1, 20, None)]),
+    ("N:1", [("KEYWORD", "N", 1, 1, None), ("COLON", ":", 1, 2, None),
+             ("INT", "1", 1, 3, 1), ("EOF", "", 1, 4, None)]),
+    ("m:1", [("KEYWORD", "m", 1, 1, None), ("COLON", ":", 1, 2, None),
+             ("INT", "1", 1, 3, 1), ("EOF", "", 1, 4, None)]),
 ], ids=["lone-cr-is-blank", "relation", "relation-prefix-then-word",
         "int-then-keyword", "escapes", "backslash-before-other-is-literal",
         "key-then-colon", "key-then-blanks-then-brace", "comment-between-key-and-colon",
         "newline-between-key-and-brace", "relation-cut-by-blank", "relation-cut-by-word",
-        "relation-then-colon", "catalog-brace", "string-then-colon"])
+        "relation-then-colon", "catalog-brace", "string-then-colon",
+        "n-relation", "n-one-relation", "n-relation-prefix-then-word",
+        "n-word-then-colon", "n-keywords", "capital-n-is-a-keyword", "m-is-a-keyword"])
 def test_lexer_tokens(text, tokens):
     parser = dsl._Parser(text, "t")
     rows = []

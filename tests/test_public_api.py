@@ -1,7 +1,9 @@
 """The package's public surface: every name ``nihdl`` exports, the
 README's library example, and what each entry point imports."""
 
+import importlib
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -153,3 +155,33 @@ def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError) as raised:
         nihdl.no_such_name
     assert str(raised.value) == "module 'nihdl' has no attribute 'no_such_name'"
+
+
+# Syntax that Python 3.11 added to `re`; 3.10, the floor pyproject.toml
+# declares, refuses it when the pattern is compiled, so at import.
+NEWER_THAN_FLOOR = {"POSSESSIVE_REPEAT", "ATOMIC_GROUP"}  # `*+ ++ ?+ }+` and `(?>`
+
+
+def _opcodes(tree):
+    """The name of every opcode in a parsed pattern, through groups and branches."""
+    for op, arg in tree:
+        yield str(op)
+        stack = [arg]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, re._parser.SubPattern):
+                yield from _opcodes(item)
+            elif isinstance(item, (tuple, list)):
+                stack.extend(item)
+
+
+def test_no_compiled_pattern_needs_python_newer_than_the_floor():
+    assert set(_opcodes(re._parser.parse("a*+(?>b)"))) >= NEWER_THAN_FLOOR
+    patterns = {}
+    for name in ["nihdl", *(m.name for m in pkgutil.iter_modules(nihdl.__path__, "nihdl."))]:
+        patterns.update((f"{name}.{key}", value)
+                        for key, value in vars(importlib.import_module(name)).items()
+                        if isinstance(value, re.Pattern))
+    assert {"nihdl.dsl._SCAN", "nihdl.dsl._TOKEN", "nihdl.diagnostics._CODE_RE"} <= set(patterns)
+    assert {name: NEWER_THAN_FLOOR & set(_opcodes(re._parser.parse(p.pattern, p.flags)))
+            for name, p in patterns.items()} == dict.fromkeys(patterns, set())
