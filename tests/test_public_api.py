@@ -162,17 +162,15 @@ def test_unknown_attribute_raises_attribute_error():
 NEWER_THAN_FLOOR = {"POSSESSIVE_REPEAT", "ATOMIC_GROUP"}  # `*+ ++ ?+ }+` and `(?>`
 
 
-def _opcodes(tree):
+def _opcodes(item):
     """The name of every opcode in a parsed pattern, through groups and branches."""
-    for op, arg in tree:
-        yield str(op)
-        stack = [arg]
-        while stack:
-            item = stack.pop()
-            if isinstance(item, re._parser.SubPattern):
-                yield from _opcodes(item)
-            elif isinstance(item, (tuple, list)):
-                stack.extend(item)
+    if isinstance(item, re._parser.SubPattern):
+        for op, arg in item:
+            yield str(op)
+            yield from _opcodes(arg)
+    elif isinstance(item, (tuple, list)):
+        for part in item:
+            yield from _opcodes(part)
 
 
 def test_no_compiled_pattern_needs_python_newer_than_the_floor():
