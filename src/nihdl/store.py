@@ -8,26 +8,31 @@ UTF-8 is written as U+FFFD, so the index stays valid UTF-8). Description
 files are discovered in lexicographic order, parse failures never abort
 the load of other files, and the index is written atomically (temp file
 plus rename), so repeated runs on an unchanged corpus are byte-identical.
-``build_index`` parses the corpus itself; a caller that already holds its
-parsed documents indexes them with ``write_index``. A rewritten file
-keeps its mode; a new one gets 0666 less the umask, and a symbolic link
-is written through: its target is rewritten and the link stays. A corpus
-directory that cannot be listed (a name too long, say) is a
-``StoreError``; a catalog or description file that cannot be read, a
-missing one included, gives E007, as does a ``*.nihd`` entry that is
-neither a regular file nor a directory (a FIFO, a socket or a device),
-which is never opened.
+``build_index`` parses the corpus itself, one file at a time, and keeps
+only the index rows, so its memory follows the largest file rather than
+the corpus; a caller that already holds its parsed documents indexes
+them with ``write_index``, which consumes any iterable of them once. A
+rewritten file keeps its mode; a new one gets 0666 less the umask, and a
+symbolic link is written through: its target is rewritten and the link
+stays. A corpus directory that cannot be listed (a name too long, say),
+or a ``descriptions`` entry that is not a directory, is a ``StoreError``
+(a missing ``descriptions`` is an empty corpus); a catalog or
+description file that cannot be read, a missing one included, gives
+E007, as does a ``*.nihd`` entry that is neither a regular file nor a
+directory (a FIFO, a socket or a device), which is never opened.
 """
 
 from __future__ import annotations
 
 import os
 import stat
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 from . import dsl
 from .diagnostics import ONE_LINE, Diagnostic, one_line, value_class
-from .taxonomy import PatternCatalog
+from .model import MethodDescription
+from .taxonomy import PatternCatalog, PatternPath
 
 CATALOG_FILE_NAME = "catalog.nihc"
 DESCRIPTIONS_DIR_NAME = "descriptions"
@@ -63,6 +68,8 @@ def open_corpus(directory: str | Path) -> Corpus:
             files = tuple(sorted((p for p in descriptions_dir.iterdir()
                                   if p.suffix == dsl.DESCRIPTION_SUFFIX),
                                  key=lambda p: p.name))
+        elif descriptions_dir.exists():  # a missing one is an empty corpus
+            raise StoreError(f"not a directory: {descriptions_dir}")
     except OSError as exc:
         raise StoreError(f"cannot read corpus directory {root}: {exc.strerror}") from exc
     return Corpus(
@@ -98,8 +105,13 @@ def read_file(path: str | Path, parse=None):
 
 def load_all(corpus: Corpus) -> tuple[list[dsl.Document], list[Diagnostic]]:
     """Parse every description file; failures become diagnostics, not aborts."""
-    documents: list[dsl.Document] = []
     diagnostics: list[Diagnostic] = []
+    return list(_documents(corpus, diagnostics)), diagnostics
+
+
+def _documents(corpus: Corpus, diagnostics: list[Diagnostic]) -> Iterator[dsl.Document]:
+    """Yield each file's document in turn, adding E007 and parse
+    diagnostics to ``diagnostics``; no document is kept."""
     for path in corpus.description_files:
         try:
             mode = path.stat().st_mode
@@ -111,8 +123,7 @@ def load_all(corpus: Corpus) -> tuple[list[dsl.Document], list[Diagnostic]]:
         document, diags = read_description_file(path)
         diagnostics.extend(diags)
         if document is not None:
-            documents.append(document)
-    return documents, diagnostics
+            yield document
 
 
 def atomic_write_text(path: Path, text: str) -> None:
@@ -142,22 +153,25 @@ def atomic_write_text(path: Path, text: str) -> None:
 def build_index(
     corpus: Corpus, catalog: PatternCatalog
 ) -> tuple[list[tuple[str, ...]], list[Diagnostic]]:
-    """Parse the corpus with ``load_all``, then ``write_index`` its documents.
+    """Parse the corpus one file at a time, as ``load_all`` does, and
+    ``write_index`` each document as it is parsed.
 
     Returns the data rows, as written, and the parse diagnostics followed
     by the resolution ones. Methods from files that fail to parse are
     absent from the index.
     """
-    documents, diagnostics = load_all(corpus)
-    rows, resolution = write_index(corpus, documents, catalog)
+    diagnostics: list[Diagnostic] = []
+    rows, resolution = write_index(corpus, _documents(corpus, diagnostics), catalog)
     return rows, diagnostics + resolution
 
 
 def write_index(
-    corpus: Corpus, documents: list[dsl.Document], catalog: PatternCatalog
+    corpus: Corpus, documents: Iterable[dsl.Document], catalog: PatternCatalog
 ) -> tuple[list[tuple[str, ...]], list[Diagnostic]]:
     """Write ``index.tsv`` for already parsed ``documents``: one row per
-    method with its completeness score.
+    method with its completeness score. ``documents`` may be any iterable,
+    a generator included; it is consumed once, and only the rows and the
+    first method naming each pattern path are kept.
 
     Returns the data rows, as written, and the E110/E111 diagnostics of
     pattern paths the catalog cannot resolve. A document whose
@@ -167,12 +181,12 @@ def write_index(
     from .analyze import completeness, pattern_histogram
 
     rows: list[tuple[str, ...]] = []
-    methods = []
+    first: dict[PatternPath, MethodDescription] = {}  # E110/E111 locate at it
     for document in documents:
         relative = Path(document.source_file).relative_to(corpus.root)
         file = relative.as_posix().translate(_FILE_FIELD)
         for method in document.methods:
-            methods.append(method)
+            first.setdefault(method.pattern.path, method)
             score = completeness(method).aggregate
             rows.append((
                 file,
@@ -182,7 +196,7 @@ def write_index(
                 one_line(method.pattern.path.text),
                 f"{float(score):.3f}",
             ))
-    _, _, resolution = pattern_histogram(methods, catalog)
+    _, _, resolution = pattern_histogram(list(first.values()), catalog)
     lines = ["\t".join(INDEX_HEADER)]
     lines.extend("\t".join(row) for row in rows)
     atomic_write_text(corpus.root / INDEX_FILE_NAME, "\n".join(lines) + "\n")

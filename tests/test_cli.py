@@ -333,6 +333,13 @@ class TestStatsCommand:
         code, _, err = run(capsys, ["stats", str(tmp_path / "none")])
         assert code == 2
 
+    def test_descriptions_that_is_not_a_directory_is_usage_error(self, capsys, tmp_path):
+        (tmp_path / "descriptions").write_text("")
+        shutil.copy(CATALOG_FILE, tmp_path / "catalog.nihc")
+        code, out, err = run(capsys, ["stats", str(tmp_path)])
+        assert (code, out) == (2, "")
+        assert err == f"usage error: not a directory: {tmp_path / 'descriptions'}\n"
+
     def test_missing_catalog(self, capsys, tmp_path):
         (tmp_path / "descriptions").mkdir()
         code, _, err = run(capsys, ["stats", str(tmp_path)])

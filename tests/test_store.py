@@ -4,6 +4,7 @@ import os
 import re
 import shutil
 import stat
+import weakref
 from pathlib import Path
 
 import pytest
@@ -39,6 +40,12 @@ class TestOpenCorpus:
     def test_name_too_long_is_a_store_error(self, tmp_path):
         with pytest.raises(StoreError, match="File name too long$"):
             open_corpus(tmp_path / ("a" * 300))
+
+    def test_descriptions_that_is_not_a_directory_is_a_store_error(self, tmp_path):
+        (tmp_path / "descriptions").write_text("")
+        with pytest.raises(StoreError,
+                           match=f"^not a directory: {re.escape(str(tmp_path))}/descriptions$"):
+            open_corpus(tmp_path)
 
     def test_non_nihd_files_ignored(self, tmp_path):
         (tmp_path / "descriptions").mkdir()
@@ -252,12 +259,49 @@ class TestWriteIndex:
         build_index(corpus, catalog)
         index = (corpus.root / "index.tsv").read_bytes()
         listing = sorted(p.name for p in corpus.root.iterdir())
+        documents, _ = load_all(corpus)
         document, _ = dsl.parse_description(GAP_FILE.read_text())
         assert document.source_file == "<input>"
-        with pytest.raises(ValueError):
-            write_index(corpus, [document], catalog)
-        assert (corpus.root / "index.tsv").read_bytes() == index
-        assert sorted(p.name for p in corpus.root.iterdir()) == listing
+        for given in ([document], [*documents, document]):
+            with pytest.raises(ValueError):
+                write_index(corpus, given, catalog)
+            assert (corpus.root / "index.tsv").read_bytes() == index
+            assert sorted(p.name for p in corpus.root.iterdir()) == listing
+
+    @pytest.mark.parametrize("make", [_synthetic_copy, _faulty_copy])
+    def test_a_one_shot_generator_indexes_as_a_list_does(self, tmp_path, catalog, make):
+        make(tmp_path / "corpus")
+        corpus = open_corpus(tmp_path / "corpus")
+        documents, _ = load_all(corpus)
+        listed = write_index(corpus, documents, catalog)
+        from_list = (corpus.root / "index.tsv").read_bytes()
+        (corpus.root / "index.tsv").unlink()
+        one_shot = (document for document in documents)
+        assert write_index(corpus, one_shot, catalog) == listed
+        assert next(one_shot, None) is None
+        assert (corpus.root / "index.tsv").read_bytes() == from_list
+
+
+def test_build_index_holds_one_document_at_a_time(tmp_path, catalog, monkeypatch):
+    """When a file is read, at most one document read before it is alive:
+    build_index keeps rows, not documents."""
+    shutil.copytree(SYNTHETIC_DIR, tmp_path / "corpus")
+    corpus = open_corpus(tmp_path / "corpus")
+    read = store.read_description_file
+    earlier: list[weakref.ref] = []
+    alive_at_each_read: list[int] = []
+
+    def tracked(path):
+        alive_at_each_read.append(sum(ref() is not None for ref in earlier))
+        document, diags = read(path)
+        earlier.append(weakref.ref(document))
+        return document, diags
+
+    monkeypatch.setattr(store, "read_description_file", tracked)
+    rows, diags = build_index(corpus, catalog)
+    assert len(alive_at_each_read) == len(corpus.description_files) > 2
+    assert max(alive_at_each_read) <= 1
+    assert diags == [] and len(rows) == 131
 
 
 def test_atomic_write_keeps_the_mode(tmp_path):
