@@ -181,7 +181,7 @@ def write_index(
     from .analyze import completeness, pattern_histogram
 
     rows: list[tuple[str, ...]] = []
-    first: dict[PatternPath, MethodDescription] = {}  # E110/E111 locate at it
+    first: dict[PatternPath, MethodDescription] = {}  # E110/E111 are located at these
     for document in documents:
         relative = Path(document.source_file).relative_to(corpus.root)
         file = relative.as_posix().translate(_FILE_FIELD)
